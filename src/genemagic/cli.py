@@ -58,7 +58,7 @@ def _resolve_grid(args: argparse.Namespace) -> tables.Grid:
         try:
             with open(args.input, encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ParseError(f"cannot read {args.input}: {exc}") from None
         return tables.parse_grid(text, name=os.path.basename(args.input))
     if getattr(args, "table", None):
@@ -138,7 +138,7 @@ def cmd_show(args: argparse.Namespace) -> int:
     if notation is None:
         cells = [list(row) for row in grid.cells]
     else:
-        cells = [[encoding.encode(w, notation) for w in row] for row in grid.cells]
+        cells = [list(row) for row in magic.numeric_grid(grid, notation).values]
     if args.format == "json":
         payload = {
             "grid": grid.name,
@@ -584,7 +584,10 @@ def cmd_structure(args: argparse.Namespace) -> int:
         for place, entry in payload["places"].items():
             regions = entry["regions"]
             passed = sum(1 for ok in regions.values() if ok)
-            line = f"{bullet}place {place}: {passed}/{len(regions)} regions uniform"
+            if regions:
+                line = f"{bullet}place {place}: {passed}/{len(regions)} regions uniform"
+            else:
+                line = f"{bullet}place {place}: not applicable (no regions)"
             failing = [label for label, ok in regions.items() if not ok]
             if failing:
                 line += " (failing: " + "; ".join(failing) + ")"

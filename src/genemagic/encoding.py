@@ -2,14 +2,20 @@
 
 The four letters carry fixed codes: two-bit pairs C=00, A=01, T=10, G=11
 and single digits C=1, A=2, T=3, G=4.  A word is an uppercase string of
-letters ("TTA"); U is accepted as an input alias for T.
+letters ("TTA").
+
+Letter rule: the single-word functions (``parse_word``, ``encode``,
+``bit_string``, ``digit_string``, ``translate``, ...) accept lower case
+and U as an input alias for T.  Grid cells are stricter: a ``Grid`` (and
+so a grid file) holds only upper-case C, A, T and G, checked once when
+the grid is built.
 
 Three numeral renderings of a word are supported:
 
 * BIN:   the concatenated bit pairs read as a *base-10* numeral, so
          "TTA" -> "101001" -> 101001 (one hundred one thousand and one).
 * DIGIT: the concatenated digits read in base 10, "TTA" -> 332.
-* DEC:   the bit string read in base 2, plus one, "TTA" -> 41.  For a
+* DEC:   the bit string read in base 2, plus one, "TTA" -> 42.  For a
          fixed length n this is a bijection onto 1..4**n.
 """
 
@@ -27,6 +33,10 @@ BIT_PAIRS = {"C": "00", "A": "01", "T": "10", "G": "11"}
 LETTER_DIGITS = {"C": "1", "A": "2", "T": "3", "G": "4"}
 
 _COMPLEMENT = str.maketrans("ACGT", "TGCA")
+_BITS = str.maketrans(BIT_PAIRS)
+_DIGITS = str.maketrans(LETTER_DIGITS)
+#: One base-4 digit per letter: the bit string read in base 2 is this read in base 4.
+_QUATERNARY = str.maketrans("CATG", "0123")
 
 #: Longest encodable word: 2n digits of a BIN numeral must stay within
 #: exact 64-bit range so renderings are portable as plain integers.
@@ -72,25 +82,34 @@ def parse_word(text: str) -> str:
 
 def bit_string(word: str) -> str:
     """Concatenated two-bit codes of the word's letters."""
-    return "".join(BIT_PAIRS[c] for c in parse_word(word))
+    return parse_word(word).translate(_BITS)
 
 
 def digit_string(word: str) -> str:
-    return "".join(LETTER_DIGITS[c] for c in parse_word(word))
+    return parse_word(word).translate(_DIGITS)
 
 
 def encode(word: str, notation: Notation) -> int:
     """Exact numeral value of ``word`` under ``notation``."""
     word = parse_word(word)
-    if len(word) > MAX_WORD_LEN:
+    _check_length(len(word))
+    return _encode_words([word], notation)[0]
+
+
+def _check_length(word_len: int) -> None:
+    if word_len > MAX_WORD_LEN:
         raise RangeError(
-            f"word of length {len(word)} exceeds the {MAX_WORD_LEN}-letter encoding limit"
+            f"word of length {word_len} exceeds the {MAX_WORD_LEN}-letter encoding limit"
         )
+
+
+def _encode_words(words: list[str], notation: Notation) -> list[int]:
+    """Values of words already checked to be upper-case C/A/T/G of encodable length."""
     if notation is Notation.BIN:
-        return int(bit_string(word), 10)
+        return [int(w.translate(_BITS)) for w in words]
     if notation is Notation.DIGIT:
-        return int(digit_string(word), 10)
-    return int(bit_string(word), 2) + 1
+        return [int(w.translate(_DIGITS)) for w in words]
+    return [int(w.translate(_QUATERNARY), 4) + 1 for w in words]
 
 
 def gray_pair(word: str) -> GrayPair:

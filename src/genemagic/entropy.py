@@ -18,8 +18,8 @@ from typing import NamedTuple
 
 from .encoding import Notation
 from .errors import PreconditionError
-from .magic import numeric_grid
-from .tables import Grid
+from .structure import _grid_lines, _tally
+from .tables import Grid, _split_rows
 
 
 @dataclass(frozen=True)
@@ -43,26 +43,24 @@ def normalize(grid: Grid, notation: Notation) -> ProbabilityGrid:
     is not magic (in rows and columns) under the notation.
     """
     side = grid.side
-    values = numeric_grid(grid, notation).values
-    target = sum(values[0])
-    for i, row in enumerate(values):
-        if sum(row) != target:
+    values = grid.flat_values(notation)
+    line_sums = _tally(values, _grid_lines(side))
+    target = line_sums[0]
+    for i, total in enumerate(line_sums[:side]):
+        if total != target:
             raise PreconditionError(
                 f"not magic under {notation.value}: row 1 sums to {target} "
-                f"but row {i + 1} sums to {sum(row)}"
+                f"but row {i + 1} sums to {total}"
             )
-    for j in range(side):
-        col = sum(values[i][j] for i in range(side))
-        if col != target:
+    for j, total in enumerate(line_sums[side:2 * side]):
+        if total != target:
             raise PreconditionError(
                 f"not magic under {notation.value}: rows sum to {target} "
-                f"but column {j + 1} sums to {col}"
+                f"but column {j + 1} sums to {total}"
             )
     if target == 0:
         raise PreconditionError("magic sum is zero; cannot normalize")
-    probabilities = tuple(
-        tuple(Fraction(v, target) for v in row) for row in values
-    )
+    probabilities = _split_rows([Fraction(v, target) for v in values], side)
     return ProbabilityGrid(probabilities, notation, target, grid.name)
 
 
@@ -106,10 +104,14 @@ class OrderIndex(NamedTuple):
 
 def order_index(p: ProbabilityGrid) -> OrderIndex:
     side = p.side
+    # Over a common denominator d each p is an integer n/d, so a line's
+    # sum(p**2) is the one exact fraction sum(n*n) / d**2.
+    flat = [v for row in p.values for v in row]
+    d = math.lcm(*(v.denominator for v in flat))
+    squares = [(v.numerator * (d // v.denominator)) ** 2 for v in flat]
+    sums = _tally(squares, _grid_lines(side)[:2 * side])
+    d2 = d * d
     return OrderIndex(
-        rows=tuple(sum(v * v for v in row) for row in p.values),
-        cols=tuple(
-            sum(p.values[i][j] * p.values[i][j] for i in range(side))
-            for j in range(side)
-        ),
+        rows=tuple(Fraction(total, d2) for total in sums[:side]),
+        cols=tuple(Fraction(total, d2) for total in sums[side:]),
     )

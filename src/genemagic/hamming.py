@@ -11,10 +11,9 @@ from dataclasses import dataclass
 from math import comb
 from typing import Sequence
 
-from .encoding import hamming_weight
 from .errors import ShapeError
-from .structure import Region
-from .tables import Grid
+from .structure import Region, _histograms_match, _sized_indices
+from .tables import Grid, _split_rows
 
 
 def monomial(weight: int, word_len: int) -> str:
@@ -40,10 +39,17 @@ class WeightGrid:
 
 def weight_grid(grid: Grid) -> WeightGrid:
     """Per-cell Hamming weight and monomial label."""
-    n = grid.word_len
-    weights = tuple(tuple(hamming_weight(word) for word in row) for row in grid.cells)
-    labels = tuple(tuple(monomial(w, n) for w in row) for row in weights)
-    return WeightGrid(weights, labels, n, grid.name)
+    n, side = grid.word_len, grid.side
+    weights = _weights(grid)
+    labels = [monomial(k, n) for k in range(n + 1)]
+    return WeightGrid(
+        _split_rows(weights, side), _split_rows([labels[w] for w in weights], side), n, grid.name
+    )
+
+
+def _weights(grid: Grid) -> list[int]:
+    """Row-major Hamming weights, counted straight from the grid's validated words."""
+    return [word.count("A") + word.count("T") for word in grid.words()]
 
 
 @dataclass(frozen=True)
@@ -62,8 +68,8 @@ def frequency_distribution(grid: Grid) -> FrequencyTable:
     """Counts of each weight over all cells, against C(n,k) * 2**n."""
     n = grid.word_len
     counts = [0] * (n + 1)
-    for word in grid.words():
-        counts[hamming_weight(word)] += 1
+    for weight in _weights(grid):
+        counts[weight] += 1
     binomial = tuple(comb(n, k) for k in range(n + 1))
     return FrequencyTable(n, tuple(counts), binomial, tuple(c * 2**n for c in binomial))
 
@@ -76,20 +82,7 @@ def balance_report(grid: Grid, regions: Sequence[Region]) -> dict[Region, bool]:
     """
     n = grid.word_len
     unit = 2**n
-    weights = tuple(tuple(hamming_weight(word) for word in row) for row in grid.cells)
-    report = {}
-    for region in regions:
-        cells = region.cells(grid.side)
-        if len(cells) % unit:
-            raise ShapeError(
-                f"region {region.label!r} has size {len(cells)}, "
-                f"not a multiple of 2^{n} = {unit}"
-            )
-        scale = len(cells) // unit
-        observed = [0] * (n + 1)
-        for i, j in cells:
-            observed[weights[i][j]] += 1
-        report[region] = all(
-            observed[k] == comb(n, k) * scale for k in range(n + 1)
-        )
-    return report
+    regions = list(regions)
+    index_tuples = _sized_indices(regions, grid.side, unit, f"2^{n} = {unit}")
+    counts = [comb(n, k) for k in range(n + 1)]
+    return dict(zip(regions, _histograms_match(_weights(grid), index_tuples, counts, unit)))

@@ -7,12 +7,23 @@ int range and is asserted exactly by the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import functools
+from dataclasses import dataclass
+from typing import Sequence
 
-from .encoding import Notation, encode
+from .encoding import Notation
 from .errors import ShapeError
-from .structure import Region, half_columns, half_diagonals, half_rows
-from .tables import Grid
+from .structure import (
+    Region,
+    _flat,
+    _grid_lines,
+    _square_lines,
+    _tally,
+    half_columns,
+    half_diagonals,
+    half_rows,
+)
+from .tables import Grid, _split_rows
 
 #: The prime whose divisibility the reports track.
 DIVISOR = 37
@@ -32,10 +43,7 @@ class NumericGrid:
 
 
 def numeric_grid(grid: Grid, notation: Notation) -> NumericGrid:
-    values = tuple(
-        tuple(encode(word, notation) for word in row) for row in grid.cells
-    )
-    return NumericGrid(values, notation, grid.name)
+    return NumericGrid(_split_rows(grid.flat_values(notation), grid.side), notation, grid.name)
 
 
 @dataclass(frozen=True)
@@ -66,50 +74,67 @@ class MagicReport:
     divisibility: tuple[tuple[int, int], ...]
 
 
-def _line_sums(values, side):
-    rows = tuple(sum(row) for row in values)
-    cols = tuple(sum(values[i][j] for i in range(side)) for j in range(side))
-    diags = (
-        sum(values[i][i] for i in range(side)),
-        sum(values[i][side - 1 - i] for i in range(side)),
+@functools.lru_cache(maxsize=64)
+def _block_layout(
+    side: int, rows: int, cols: int
+) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...]]:
+    """Positions of the aligned rows x cols blocks, and each block's row-major flat indices."""
+    keys = tuple((bi, bj) for bi in range(side // rows) for bj in range(side // cols))
+    return keys, tuple(
+        tuple((bi * rows + di) * side + bj * cols + dj for di in range(rows) for dj in range(cols))
+        for bi, bj in keys
     )
-    return rows, cols, diags
 
 
-def _constant(*sums: tuple[int, ...]) -> int | None:
-    flat = {v for group in sums for v in group}
-    return flat.pop() if len(flat) == 1 else None
+@functools.lru_cache(maxsize=64)
+def _block_lines(side: int, k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The lines of every aligned k x k block, block by block."""
+    return tuple(tuple(_square_lines(idx, k)) for idx in _block_layout(side, k, k)[1])
+
+
+@functools.lru_cache(maxsize=64)
+def _half_lines(side: int) -> tuple[tuple[Region, ...], tuple[tuple[int, ...], ...]]:
+    regions = tuple(half_rows(side) + half_columns(side) + half_diagonals())
+    return regions, tuple(_flat(region.kind, region.index, side) for region in regions)
+
+
+def _constant(sums: Sequence[int]) -> int | None:
+    distinct = set(sums)
+    return distinct.pop() if len(distinct) == 1 else None
 
 
 def analyze(grid: Grid, notation: Notation) -> MagicReport:
     """Full exact magic/bimagic report of a grid under one notation."""
     side = grid.side
-    values = numeric_grid(grid, notation).values
-    squares = tuple(tuple(v * v for v in row) for row in values)
-    s1_rows, s1_cols, s1_diags = _line_sums(values, side)
-    s2_rows, s2_cols, s2_diags = _line_sums(squares, side)
+    values = grid.flat_values(notation)
+    squares = [v * v for v in values]
+    lines = _grid_lines(side)
+    s1_lines, s2_lines = _tally(values, lines), _tally(squares, lines)
+    s1_rows, s1_cols = tuple(s1_lines[:side]), tuple(s1_lines[side:2 * side])
+    s2_rows, s2_cols = tuple(s2_lines[:side]), tuple(s2_lines[side:2 * side])
+    s1_diags, s2_diags = tuple(s1_lines[2 * side:]), tuple(s2_lines[2 * side:])
 
-    s1 = _constant(s1_rows, s1_cols, s1_diags)
+    s1 = _constant(s1_lines)
     magic = s1 is not None
-    bimagic = magic and _constant(s2_rows, s2_cols, s2_diags) is not None
+    bimagic = magic and _constant(s2_lines) is not None
     column_bimagic = magic and _constant(s2_cols) is not None
     if s1 is None:
         s1 = _constant(s1_rows)
-    s2 = _constant(s2_rows, s2_cols, s2_diags)
+    s2 = _constant(s2_lines)
     if s2 is None:
         s2 = _constant(s2_cols)
 
     block_sums = {
-        k: block_report(grid, notation, k)
+        k: _block_sums(values, squares, side, k, k, k >= 3)
         for k in (2, 4)
         if k < side and side % k == 0
     }
     half_line_sums: dict[Region, int] = {}
     if side % 2 == 0 and side > 1:
-        for region in half_rows(side) + half_columns(side) + half_diagonals():
-            half_line_sums[region] = sum(values[i][j] for i, j in region.cells(side))
+        regions, index_tuples = _half_lines(side)
+        half_line_sums = dict(zip(regions, _tally(values, index_tuples)))
 
-    report = MagicReport(
+    return MagicReport(
         grid_name=grid.name,
         notation=notation,
         side=side,
@@ -126,9 +151,31 @@ def analyze(grid: Grid, notation: Notation) -> MagicReport:
         s2=s2,
         block_sums=block_sums,
         half_line_sums=half_line_sums,
-        divisibility=(),
+        divisibility=_divisibility(half_line_sums, s1, s2),
     )
-    return replace(report, divisibility=divisibility_facts(report))
+
+
+def _block_sums(
+    values: Sequence[int],
+    squares: Sequence[int],
+    side: int,
+    rows: int,
+    cols: int,
+    magic_check: bool = False,
+) -> dict[tuple[int, int], BlockSums]:
+    """Sums and square sums of the aligned rows x cols blocks, with each
+    square block's own magic verdict when ``magic_check`` is set."""
+    keys, index_tuples = _block_layout(side, rows, cols)
+    totals, square_totals = _tally(values, index_tuples), _tally(squares, index_tuples)
+    verdicts = [None] * len(keys)
+    if magic_check:
+        verdicts = [
+            _constant(_tally(values, lines)) is not None for lines in _block_lines(side, rows)
+        ]
+    return {
+        key: BlockSums(total, square_total, verdict)
+        for key, total, square_total, verdict in zip(keys, totals, square_totals, verdicts)
+    }
 
 
 def block_report(
@@ -142,22 +189,8 @@ def block_report(
     side = grid.side
     if k <= 0 or side % k:
         raise ShapeError(f"block size {k} does not divide side {side}")
-    values = numeric_grid(grid, notation).values
-    report = {}
-    for bi in range(side // k):
-        for bj in range(side // k):
-            block = [
-                [values[bi * k + di][bj * k + dj] for dj in range(k)]
-                for di in range(k)
-            ]
-            total = sum(sum(row) for row in block)
-            square_total = sum(v * v for row in block for v in row)
-            verdict = None
-            if k >= 3:
-                rows, cols, diags = _line_sums(block, k)
-                verdict = _constant(rows, cols, diags) is not None
-            report[(bi, bj)] = BlockSums(total, square_total, verdict)
-    return report
+    values = grid.flat_values(notation)
+    return _block_sums(values, [v * v for v in values], side, k, k, k >= 3)
 
 
 def rect_block_report(
@@ -169,23 +202,20 @@ def rect_block_report(
         raise ShapeError(
             f"block shape {rows}x{cols} does not tile a grid of side {side}"
         )
-    values = numeric_grid(grid, notation).values
-    report = {}
-    for bi in range(side // rows):
-        for bj in range(side // cols):
-            cells = [
-                values[bi * rows + di][bj * cols + dj]
-                for di in range(rows)
-                for dj in range(cols)
-            ]
-            report[(bi, bj)] = BlockSums(sum(cells), sum(v * v for v in cells))
-    return report
+    values = grid.flat_values(notation)
+    return _block_sums(values, [v * v for v in values], side, rows, cols)
 
 
 def divisibility_facts(report: MagicReport) -> tuple[tuple[int, int], ...]:
     """Every S1/S2/half-line value divisible by 37, with its exact quotient."""
-    candidates = set(report.half_line_sums.values())
-    for value in (report.s1, report.s2):
+    return _divisibility(report.half_line_sums, report.s1, report.s2)
+
+
+def _divisibility(
+    half_line_sums: dict[Region, int], s1: int | None, s2: int | None
+) -> tuple[tuple[int, int], ...]:
+    candidates = set(half_line_sums.values())
+    for value in (s1, s2):
         if value is not None:
             candidates.add(value)
     return tuple(

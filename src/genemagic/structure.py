@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -34,35 +35,7 @@ class Region:
 
     def cells(self, side: int) -> tuple[tuple[int, int], ...]:
         """The (row, col) positions this region covers in a grid of that side."""
-        kind, idx = self.kind, self.index
-        if kind == "row":
-            return tuple((idx[0], j) for j in range(side))
-        if kind == "column":
-            return tuple((i, idx[0]) for i in range(side))
-        if kind == "main_diagonal":
-            return tuple((i, i) for i in range(side))
-        if kind == "anti_diagonal":
-            return tuple((i, side - 1 - i) for i in range(side))
-        if kind == "block":
-            k, bi, bj = idx
-            if side % k:
-                raise ShapeError(f"block size {k} does not divide side {side}")
-            return tuple(
-                (bi * k + di, bj * k + dj) for di in range(k) for dj in range(k)
-            )
-        if kind in ("half_row", "half_column", "half_diagonal"):
-            if side % 2:
-                raise ShapeError(f"half regions need an even side, got {side}")
-            which, half = idx
-            span = range(half * side // 2, (half + 1) * side // 2)
-            if kind == "half_row":
-                return tuple((which, j) for j in span)
-            if kind == "half_column":
-                return tuple((i, which) for i in span)
-            if which == 0:
-                return tuple((i, i) for i in span)
-            return tuple((i, side - 1 - i) for i in span)
-        raise ShapeError(f"unknown region kind {self.kind!r}")
+        return _cells(self.kind, self.index, side)
 
     @property
     def label(self) -> str:
@@ -78,6 +51,104 @@ class Region:
         if kind == "half_diagonal":
             return f"half {'main' if idx[0] == 0 else 'anti'} diagonal ({half})"
         return f"half {kind.split('_')[1]} {idx[0] + 1} ({half})"
+
+
+# Region caches are keyed on (kind, index, side), whose hash and equality
+# run in C, rather than on the Region objects themselves.
+@functools.lru_cache(maxsize=4096)
+def _cells(kind: str, idx: tuple[int, ...], side: int) -> tuple[tuple[int, int], ...]:
+    if kind == "row":
+        return tuple((idx[0], j) for j in range(side))
+    if kind == "column":
+        return tuple((i, idx[0]) for i in range(side))
+    if kind == "main_diagonal":
+        return tuple((i, i) for i in range(side))
+    if kind == "anti_diagonal":
+        return tuple((i, side - 1 - i) for i in range(side))
+    if kind == "block":
+        k, bi, bj = idx
+        if side % k:
+            raise ShapeError(f"block size {k} does not divide side {side}")
+        return tuple(
+            (bi * k + di, bj * k + dj) for di in range(k) for dj in range(k)
+        )
+    if kind in ("half_row", "half_column", "half_diagonal"):
+        if side % 2:
+            raise ShapeError(f"half regions need an even side, got {side}")
+        which, half = idx
+        span = range(half * side // 2, (half + 1) * side // 2)
+        if kind == "half_row":
+            return tuple((which, j) for j in span)
+        if kind == "half_column":
+            return tuple((i, which) for i in span)
+        if which == 0:
+            return tuple((i, i) for i in span)
+        return tuple((i, side - 1 - i) for i in span)
+    raise ShapeError(f"unknown region kind {kind!r}")
+
+
+@functools.lru_cache(maxsize=4096)
+def _flat(kind: str, idx: tuple[int, ...], side: int) -> tuple[int, ...]:
+    """Row-major flat indices of a region's cells in a grid of that side."""
+    cells = _cells(kind, idx, side)
+    if not all(0 <= i < side and 0 <= j < side for i, j in cells):
+        label = Region(kind, idx).label
+        raise ShapeError(f"region {label!r} lies outside a grid of side {side}")
+    return tuple(i * side + j for i, j in cells)
+
+
+def _square_lines(idx: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
+    """Rows, columns, main and anti diagonal of a k x k square of row-major indices."""
+    return (
+        [idx[r * k:(r + 1) * k] for r in range(k)]
+        + [idx[c::k] for c in range(k)]
+        + [tuple(idx[r * k + r] for r in range(k))]
+        + [tuple(idx[r * k + k - 1 - r] for r in range(k))]
+    )
+
+
+@functools.lru_cache(maxsize=64)
+def _grid_lines(side: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(_square_lines(tuple(range(side * side)), side))
+
+
+def _sized_indices(
+    regions: Sequence[Region], side: int, unit: int, unit_name: str
+) -> list[tuple[int, ...]]:
+    """Flat indices of each region, which must hold a multiple of ``unit`` cells."""
+    index_tuples = []
+    for region in regions:
+        idx = _flat(region.kind, region.index, side)
+        if len(idx) % unit:
+            raise ShapeError(
+                f"region {region.label!r} has size {len(idx)}, not a multiple of {unit_name}"
+            )
+        index_tuples.append(idx)
+    return index_tuples
+
+
+def _tally(values: Sequence[int], index_tuples: Sequence[Sequence[int]]) -> list[int]:
+    """The sum of ``values`` over each tuple of flat indices: every region check's kernel."""
+    return [sum([values[k] for k in idx]) for idx in index_tuples]
+
+
+def _histograms_match(
+    symbols: Sequence[int],
+    index_tuples: Sequence[Sequence[int]],
+    counts: Sequence[int],
+    unit: int,
+) -> list[bool]:
+    """Per index tuple of length m, whether each symbol s occurs counts[s] * m / unit times.
+
+    A cell holding symbol s adds base**s, with base above any region's
+    size, so a region's integer sum carries its symbol counts as base-``base``
+    digits and one comparison checks them all.
+    """
+    base = max(map(len, index_tuples), default=0) + 1
+    powers = [base**s for s in range(len(counts))]
+    target = sum(c * p for c, p in zip(counts, powers))
+    sums = _tally([powers[s] for s in symbols], index_tuples)
+    return [total == target * (len(idx) // unit) for total, idx in zip(sums, index_tuples)]
 
 
 def rows(side: int) -> list[Region]:
@@ -133,6 +204,9 @@ def place_letters(grid: Grid, place: int) -> tuple[tuple[str, ...], ...]:
     return tuple(tuple(word[place - 1] for word in row) for row in grid.cells)
 
 
+_LETTER_CODES = {c: code for code, c in enumerate(LETTERS)}
+
+
 def place_permutation_report(
     grid: Grid, place: int, regions: Sequence[Region]
 ) -> dict[Region, bool]:
@@ -141,18 +215,13 @@ def place_permutation_report(
     A region of size 4 passes when its projected letters are a permutation
     of C, A, T, G; larger regions pass when each letter occurs size/4 times.
     """
-    letters = place_letters(grid, place)
-    report = {}
-    for region in regions:
-        cells = region.cells(grid.side)
-        if len(cells) % 4:
-            raise ShapeError(
-                f"region {region.label!r} has size {len(cells)}, not a multiple of 4"
-            )
-        per_letter = len(cells) // 4
-        seen = [letters[i][j] for i, j in cells]
-        report[region] = all(seen.count(c) == per_letter for c in LETTERS)
-    return report
+    if not 1 <= place <= grid.word_len:
+        raise ShapeError(f"place {place} out of range 1..{grid.word_len}")
+    regions = list(regions)
+    index_tuples = _sized_indices(regions, grid.side, 4, "4")
+    letters = "".join(grid.words())[place - 1::grid.word_len]
+    symbols = [_LETTER_CODES[c] for c in letters]
+    return dict(zip(regions, _histograms_match(symbols, index_tuples, (1, 1, 1, 1), 4)))
 
 
 class LatinVerdict(NamedTuple):

@@ -14,14 +14,22 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from typing import Sequence
 
-from .encoding import BIT_PAIRS, Notation, encode
+from .encoding import LETTERS, Notation, _check_length, _encode_words
 from .errors import DataError, ParseError, ShapeError
 
 
 @dataclass(frozen=True)
 class Grid:
-    """A square array of same-length words."""
+    """A square array of same-length words.
+
+    Every cell is checked when the grid is built: cells are upper-case
+    C, A, T and G only, the grid-file rule (lower case and U, which the
+    single-word functions accept, are rejected here).  Numeral values are
+    computed at most once per notation and kept with the grid; the cache
+    is not a field, so equality, hashing and repr see only the cells.
+    """
 
     cells: tuple[tuple[str, ...], ...]
     name: str | None = field(default=None, compare=False)
@@ -40,6 +48,13 @@ class Grid:
                     raise ShapeError(
                         f"cell {word!r} has length {len(word)}, expected {word_len}"
                     )
+        if word_len == 0:
+            raise ParseError("empty word")
+        if "".join(self.words()).translate(_DROP_LETTERS):
+            for i, row in enumerate(self.cells):
+                for j, word in enumerate(row):
+                    _check_letters(word, i, j)
+        object.__setattr__(self, "_values", {})
 
     @property
     def side(self) -> int:
@@ -53,10 +68,38 @@ class Grid:
         """All cells in row-major order."""
         return [word for row in self.cells for word in row]
 
+    def flat_values(self, notation: Notation) -> tuple[int, ...]:
+        """Exact values of all cells under ``notation``, row-major, encoded once per notation."""
+        values = self._values.get(notation)
+        if values is None:
+            _check_length(self.word_len)
+            values = self._values[notation] = tuple(_encode_words(self.words(), notation))
+        return values
+
     def is_complete(self) -> bool:
         """True if every word of this length appears exactly once."""
         words = self.words()
         return len(words) == 4 ** self.word_len and len(set(words)) == len(words)
+
+
+_DROP_LETTERS = str.maketrans("", "", LETTERS)
+
+
+def _split_rows(flat: Sequence, side: int) -> tuple[tuple, ...]:
+    """Row-major flat cells back into ``side`` rows."""
+    return tuple(tuple(flat[i:i + side]) for i in range(0, side * side, side))
+
+
+def _check_letters(cell: str, i: int, j: int) -> None:
+    """Raise ParseError naming the first letter of ``cell`` outside upper-case C/A/T/G."""
+    if not cell.translate(_DROP_LETTERS):
+        return
+    for pos, letter in enumerate(cell):
+        if letter not in LETTERS:
+            raise ParseError(
+                f"invalid letter {letter!r} in cell at row {i + 1}, "
+                f"column {j + 1}, position {pos + 1}"
+            )
 
 
 def parse_grid(text: str, name: str | None = None, require_complete: bool = False) -> Grid:
@@ -70,11 +113,16 @@ def parse_grid(text: str, name: str | None = None, require_complete: bool = Fals
         raise ParseError("empty grid text")
     header = lines[0].split()
     try:
-        fields = dict(part.split("=", 1) for part in header)
+        pairs = [part.split("=", 1) for part in header]
+        fields = dict(pairs)
         word_len = int(fields["n"])
         side = int(fields["size"])
     except (ValueError, KeyError):
         raise ParseError(f"bad header {lines[0]!r}; expected 'n=<word_len> size=<N>'") from None
+    if len(fields) != len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for key in keys if keys.count(key) > 1)
+        raise ParseError(f"bad header {lines[0]!r}: key {repeated!r} given more than once")
     body = lines[1:]
     if len(body) != side:
         raise ShapeError(f"expected {side} rows, found {len(body)}")
@@ -89,12 +137,7 @@ def parse_grid(text: str, name: str | None = None, require_complete: bool = Fals
                     f"cell {cell!r} at row {i + 1}, column {j + 1} has length "
                     f"{len(cell)}, expected {word_len}"
                 )
-            for pos, letter in enumerate(cell):
-                if letter not in BIT_PAIRS:
-                    raise ParseError(
-                        f"invalid letter {letter!r} in cell at row {i + 1}, "
-                        f"column {j + 1}, position {pos + 1}"
-                    )
+            _check_letters(cell, i, j)
         rows.append(tuple(cells))
     grid = Grid(tuple(rows), name=name)
     if require_complete:
@@ -116,12 +159,11 @@ def parse_grid(text: str, name: str | None = None, require_complete: bool = Fals
 
 def serialize_grid(grid: Grid, notation: Notation | None = None) -> str:
     """Render a grid back to its text form, or to numerals under a notation."""
-    lines = [f"n={grid.word_len} size={grid.side}"]
-    for row in grid.cells:
-        if notation is None:
-            lines.append(" ".join(row))
-        else:
-            lines.append(" ".join(str(encode(word, notation)) for word in row))
+    if notation is None:
+        rows = grid.cells
+    else:
+        rows = _split_rows([str(v) for v in grid.flat_values(notation)], grid.side)
+    lines = [f"n={grid.word_len} size={grid.side}"] + [" ".join(row) for row in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -231,6 +231,30 @@ def test_missing_input_file(capsys):
     assert "cannot read" in err
 
 
+def test_input_file_with_invalid_utf8(tmp_path, capsys):
+    grid_file = tmp_path / "bad.grid"
+    grid_file.write_bytes(b"n=1 size=2\nC A\nT \xff\xfe\n")
+    code, out, err = run(capsys, "verify", "--input", str(grid_file))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read ") and "utf-8" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "md"])
+def test_structure_without_regions_is_not_applicable(capsys, fmt):
+    # M1 is 2x2: no region holds a multiple of 4 cells, so no verdict is given
+    code, out, _ = run(capsys, "structure", "M1", "--format", fmt)
+    assert code == 0
+    assert "place 1: not applicable (no regions)" in out
+    assert "0/0" not in out
+
+
+def test_structure_without_regions_json_is_unchanged(capsys):
+    code, out, _ = run(capsys, "structure", "M1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["places"] == {"1": {"regions": {}, "projection_latin": None}}
+
+
 @pytest.mark.parametrize(
     "table_id", ["M1", "M2", "M3", "R4", "R8A", "R8B", "R16", "ENZ"]
 )

@@ -1,0 +1,425 @@
+"""The integer region-tally kernels against the per-cell algorithms they replaced.
+
+Each ``ref_*`` function below is the plain per-cell computation: encode
+every word from its letter codes, sum the cells of each region, count
+letters and weights cell by cell, and square every probability.  The
+library must give equal results, or raise the same error, on the
+canonical tables, their complements and dihedral images, and generated
+grids.
+"""
+
+import math
+from collections import Counter
+from fractions import Fraction
+from math import comb
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from genemagic import (
+    CANONICAL_IDS,
+    Grid,
+    Notation,
+    ProbabilityGrid,
+    analyze,
+    balance_report,
+    block_report,
+    complement,
+    encoding,
+    entropy_term,
+    load_canonical,
+    normalize,
+    numeric_grid,
+    order_index,
+    parse_grid,
+    place_letters,
+    place_permutation_report,
+    rect_block_report,
+    serialize_grid,
+    shannon_report,
+    standard_regions,
+    tables,
+    weight_grid,
+)
+from genemagic.encoding import BIT_PAIRS, LETTER_DIGITS, LETTERS
+from genemagic.entropy import EntropyReport, OrderIndex
+from genemagic.errors import GenemagicError, PreconditionError, ShapeError
+from genemagic.hamming import monomial
+from genemagic.magic import DIVISOR, BlockSums, MagicReport
+from genemagic.structure import (
+    blocks,
+    columns,
+    diagonals,
+    half_columns,
+    half_diagonals,
+    half_rows,
+    rows,
+)
+
+
+def examples(count):
+    return settings(max_examples=count, deadline=None, derandomize=True, database=None)
+
+
+# ---------------------------------------------------------------------------
+# Reference algorithms, one cell at a time.
+# ---------------------------------------------------------------------------
+
+def ref_value(word, notation):
+    bits = "".join(BIT_PAIRS[c] for c in word)
+    if notation is Notation.BIN:
+        return int(bits, 10)
+    if notation is Notation.DIGIT:
+        return int("".join(LETTER_DIGITS[c] for c in word), 10)
+    return int(bits, 2) + 1
+
+
+def ref_values(grid, notation):
+    return tuple(tuple(ref_value(word, notation) for word in row) for row in grid.cells)
+
+
+def ref_line_sums(values, side):
+    return (
+        tuple(sum(row) for row in values),
+        tuple(sum(values[i][j] for i in range(side)) for j in range(side)),
+        (
+            sum(values[i][i] for i in range(side)),
+            sum(values[i][side - 1 - i] for i in range(side)),
+        ),
+    )
+
+
+def ref_constant(*sums):
+    flat = {v for group in sums for v in group}
+    return flat.pop() if len(flat) == 1 else None
+
+
+def ref_block_report(grid, notation, k):
+    side = grid.side
+    if k <= 0 or side % k:
+        raise ShapeError(f"block size {k} does not divide side {side}")
+    values = ref_values(grid, notation)
+    report = {}
+    for bi in range(side // k):
+        for bj in range(side // k):
+            block = [
+                [values[bi * k + di][bj * k + dj] for dj in range(k)] for di in range(k)
+            ]
+            verdict = None
+            if k >= 3:
+                verdict = ref_constant(*ref_line_sums(block, k)) is not None
+            report[(bi, bj)] = BlockSums(
+                sum(sum(row) for row in block), sum(v * v for row in block for v in row), verdict
+            )
+    return report
+
+
+def ref_rect_block_report(grid, notation, height, width):
+    side = grid.side
+    if height <= 0 or width <= 0 or side % height or side % width:
+        raise ShapeError(f"block shape {height}x{width} does not tile a grid of side {side}")
+    values = ref_values(grid, notation)
+    report = {}
+    for bi in range(side // height):
+        for bj in range(side // width):
+            cells = [
+                values[bi * height + di][bj * width + dj]
+                for di in range(height)
+                for dj in range(width)
+            ]
+            report[(bi, bj)] = BlockSums(sum(cells), sum(v * v for v in cells))
+    return report
+
+
+def ref_analyze(grid, notation):
+    side = grid.side
+    values = ref_values(grid, notation)
+    squares = tuple(tuple(v * v for v in row) for row in values)
+    s1_rows, s1_cols, s1_diags = ref_line_sums(values, side)
+    s2_rows, s2_cols, s2_diags = ref_line_sums(squares, side)
+    s1 = ref_constant(s1_rows, s1_cols, s1_diags)
+    magic = s1 is not None
+    bimagic = magic and ref_constant(s2_rows, s2_cols, s2_diags) is not None
+    column_bimagic = magic and ref_constant(s2_cols) is not None
+    if s1 is None:
+        s1 = ref_constant(s1_rows)
+    s2 = ref_constant(s2_rows, s2_cols, s2_diags)
+    if s2 is None:
+        s2 = ref_constant(s2_cols)
+    half_line_sums = {}
+    if side % 2 == 0 and side > 1:
+        for region in half_rows(side) + half_columns(side) + half_diagonals():
+            half_line_sums[region] = sum(values[i][j] for i, j in region.cells(side))
+    candidates = set(half_line_sums.values()) | {v for v in (s1, s2) if v is not None}
+    return MagicReport(
+        grid_name=grid.name,
+        notation=notation,
+        side=side,
+        s1_rows=s1_rows,
+        s1_cols=s1_cols,
+        s1_diags=s1_diags,
+        s2_rows=s2_rows,
+        s2_cols=s2_cols,
+        s2_diags=s2_diags,
+        magic=magic,
+        column_bimagic=column_bimagic,
+        bimagic=bimagic,
+        s1=s1,
+        s2=s2,
+        block_sums={
+            k: ref_block_report(grid, notation, k) for k in (2, 4) if k < side and side % k == 0
+        },
+        half_line_sums=half_line_sums,
+        divisibility=tuple(
+            (v, v // DIVISOR) for v in sorted(candidates) if v and v % DIVISOR == 0
+        ),
+    )
+
+
+def ref_normalize(grid, notation):
+    side = grid.side
+    values = ref_values(grid, notation)
+    target = sum(values[0])
+    for i, row in enumerate(values):
+        if sum(row) != target:
+            raise PreconditionError(
+                f"not magic under {notation.value}: row 1 sums to {target} "
+                f"but row {i + 1} sums to {sum(row)}"
+            )
+    for j in range(side):
+        col = sum(values[i][j] for i in range(side))
+        if col != target:
+            raise PreconditionError(
+                f"not magic under {notation.value}: rows sum to {target} "
+                f"but column {j + 1} sums to {col}"
+            )
+    if target == 0:
+        raise PreconditionError("magic sum is zero; cannot normalize")
+    return ProbabilityGrid(
+        tuple(tuple(Fraction(v, target) for v in row) for row in values),
+        notation,
+        target,
+        grid.name,
+    )
+
+
+def ref_order_index(p):
+    side = p.side
+    return OrderIndex(
+        rows=tuple(sum(v * v for v in row) for row in p.values),
+        cols=tuple(
+            sum(p.values[i][j] * p.values[i][j] for i in range(side)) for j in range(side)
+        ),
+    )
+
+
+def ref_shannon_report(p):
+    side = p.side
+    terms = tuple(tuple(entropy_term(v) for v in row) for row in p.values)
+    return EntropyReport(
+        terms=terms,
+        row_sums=tuple(math.fsum(row) for row in terms),
+        col_sums=tuple(math.fsum(terms[i][j] for i in range(side)) for j in range(side)),
+        diag_sums=(
+            math.fsum(terms[i][i] for i in range(side)),
+            math.fsum(terms[i][side - 1 - i] for i in range(side)),
+        ),
+    )
+
+
+def ref_place_permutation_report(grid, place, regions):
+    letters = place_letters(grid, place)
+    report = {}
+    for region in regions:
+        cells = region.cells(grid.side)
+        if len(cells) % 4:
+            raise ShapeError(
+                f"region {region.label!r} has size {len(cells)}, not a multiple of 4"
+            )
+        seen = [letters[i][j] for i, j in cells]
+        report[region] = all(seen.count(c) == len(cells) // 4 for c in LETTERS)
+    return report
+
+
+def ref_weight(word):
+    return sum(1 for c in word if c in "AT")
+
+
+def ref_weight_grid(grid):
+    n = grid.word_len
+    weights = tuple(tuple(ref_weight(word) for word in row) for row in grid.cells)
+    labels = tuple(tuple(monomial(w, n) for w in row) for row in weights)
+    return weights, labels
+
+
+def ref_balance_report(grid, regions):
+    n = grid.word_len
+    unit = 2**n
+    report = {}
+    for region in regions:
+        cells = region.cells(grid.side)
+        if len(cells) % unit:
+            raise ShapeError(
+                f"region {region.label!r} has size {len(cells)}, "
+                f"not a multiple of 2^{n} = {unit}"
+            )
+        observed = [0] * (n + 1)
+        for i, j in cells:
+            observed[ref_weight(grid.cells[i][j])] += 1
+        report[region] = all(observed[k] == comb(n, k) * len(cells) // unit for k in range(n + 1))
+    return report
+
+
+# ---------------------------------------------------------------------------
+# Comparison
+# ---------------------------------------------------------------------------
+
+def outcome(fn, *args):
+    """The result of ``fn(*args)``, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except GenemagicError as exc:
+        return type(exc), str(exc)
+
+
+def balance_regions(grid):
+    unit, side = 2**grid.word_len, grid.side
+    regions = rows(side) + columns(side) + diagonals() if side % unit == 0 else []
+    for k in (2, 4):
+        if k < side and side % k == 0 and (k * k) % unit == 0:
+            regions += blocks(side, k)
+    return regions
+
+
+def assert_matches_reference(grid):
+    for notation in Notation:
+        assert numeric_grid(grid, notation).values == ref_values(grid, notation)
+        assert analyze(grid, notation) == ref_analyze(grid, notation)
+        for k in (1, 2, 3, 4, 8):
+            assert outcome(block_report, grid, notation, k) == outcome(
+                ref_block_report, grid, notation, k
+            )
+        for shape in ((2, 4), (4, 2), (1, 2), (3, 3), (4, 4)):
+            assert outcome(rect_block_report, grid, notation, *shape) == outcome(
+                ref_rect_block_report, grid, notation, *shape
+            )
+        prob = outcome(normalize, grid, notation)
+        assert prob == outcome(ref_normalize, grid, notation)
+        if isinstance(prob, ProbabilityGrid):
+            assert order_index(prob) == ref_order_index(prob)
+            assert shannon_report(prob) == ref_shannon_report(prob)
+    regions = standard_regions(grid.side)
+    for place in range(0, grid.word_len + 2):
+        assert outcome(place_permutation_report, grid, place, regions) == outcome(
+            ref_place_permutation_report, grid, place, regions
+        )
+    wg = weight_grid(grid)
+    assert (wg.weights, wg.monomials) == ref_weight_grid(grid)
+    for regions in (balance_regions(grid), standard_regions(grid.side)):
+        assert outcome(balance_report, grid, regions) == outcome(
+            ref_balance_report, grid, regions
+        )
+
+
+def dihedral(cells, d):
+    """Map 0..7 of the square: transpose when bit 2 is set, then d % 4 quarter turns."""
+    cells = [tuple(row) for row in cells]
+    if d & 4:
+        cells = list(zip(*cells))
+    for _ in range(d & 3):
+        cells = list(zip(*cells[::-1]))
+    return tuple(tuple(row) for row in cells)
+
+
+def images(grid):
+    """The grid, its letterwise complement and its seven other dihedral images."""
+    yield grid
+    yield Grid(tuple(tuple(complement(word) for word in row) for row in grid.cells))
+    for d in range(1, 8):
+        yield Grid(dihedral(grid.cells, d))
+
+
+@pytest.mark.parametrize("table_id", CANONICAL_IDS)
+def test_kernels_match_reference_on_canonical_images(table_id):
+    for grid in images(load_canonical(table_id)):
+        assert_matches_reference(grid)
+
+
+@st.composite
+def random_grids(draw):
+    n = draw(st.integers(1, 4))
+    side = draw(st.integers(1, 16))
+    word = st.text(alphabet=LETTERS, min_size=n, max_size=n)
+    row = st.lists(word, min_size=side, max_size=side)
+    cells = draw(st.lists(row, min_size=side, max_size=side))
+    return Grid(tuple(tuple(row) for row in cells))
+
+
+@st.composite
+def orbit_grids(draw):
+    """A complete table under a letter relabelling, a place permutation and a dihedral map."""
+    grid = load_canonical(draw(st.sampled_from(["R4", "R8A", "R8B", "R16"])))
+    relabel = str.maketrans(LETTERS, "".join(draw(st.permutations(LETTERS))))
+    places = draw(st.permutations(range(grid.word_len)))
+    cells = tuple(
+        tuple("".join(word[p] for p in places).translate(relabel) for word in row)
+        for row in grid.cells
+    )
+    return Grid(dihedral(cells, draw(st.integers(0, 7))))
+
+
+@examples(40)
+@given(random_grids())
+def test_kernels_match_reference_on_random_grids(grid):
+    assert_matches_reference(grid)
+
+
+@examples(20)
+@given(orbit_grids())
+def test_kernels_match_reference_on_orbit_grids(grid):
+    assert_matches_reference(grid)
+
+
+@examples(25)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda side: st.lists(
+            st.lists(st.fractions(0, 1), min_size=side, max_size=side),
+            min_size=side,
+            max_size=side,
+        )
+    )
+)
+def test_order_index_matches_reference_on_any_probabilities(values):
+    prob = ProbabilityGrid(tuple(tuple(row) for row in values), Notation.DEC, 1)
+    assert order_index(prob) == ref_order_index(prob)
+
+
+def test_analyze_and_normalize_encode_each_grid_once_per_notation(monkeypatch):
+    encoded = Counter()
+    encode_words = tables._encode_words
+
+    def counting(words, notation):
+        encoded[notation] += 1
+        return encode_words(words, notation)
+
+    parsed = Counter()
+    parse_word = encoding.parse_word
+
+    def counting_parse(text):
+        parsed["words"] += 1
+        return parse_word(text)
+
+    monkeypatch.setattr(tables, "_encode_words", counting)
+    monkeypatch.setattr(encoding, "parse_word", counting_parse)
+    text = serialize_grid(load_canonical("R16"))
+    for expected in (1, 2):
+        # a fresh grid with the same cells is encoded again: values are
+        # kept per Grid instance, not per content
+        grid = parse_grid(text)
+        for notation in Notation:
+            analyze(grid, notation)
+            normalize(grid, notation)
+        assert encoded == {notation: expected for notation in Notation}
+    assert parsed["words"] == 0

@@ -171,6 +171,13 @@ def test_parse_bad_header():
         parse_grid("size=2\nC A\nT G\n")
 
 
+def test_parse_rejects_repeated_header_key():
+    with pytest.raises(ParseError, match="'n' given more than once"):
+        parse_grid("n=2 size=2 n=3\nAC GT\nCA TG\n")
+    with pytest.raises(ParseError, match="'size' given more than once"):
+        parse_grid("n=1 size=2 size=2\nC A\nT G\n")
+
+
 def test_parse_wrong_row_count():
     with pytest.raises(ShapeError, match="rows"):
         parse_grid("n=1 size=2\nC A\n")
@@ -208,3 +215,25 @@ def test_grid_equality_ignores_name():
     a = Grid((("C", "A"), ("T", "G")), name="x")
     b = Grid((("C", "A"), ("T", "G")), name="y")
     assert a == b
+
+
+@pytest.mark.parametrize("letter", ["a", "U", "X"])
+def test_grid_constructor_rejects_letters_outside_catg(letter):
+    # the grid-file rule: upper-case C/A/T/G only, even where the
+    # single-word functions accept lower case and U
+    with pytest.raises(ParseError, match="row 2, column 1, position 2"):
+        Grid((("CA", "TG"), ("C" + letter, "GC")))
+
+
+def test_grid_constructor_rejects_empty_words():
+    with pytest.raises(ParseError, match="empty word"):
+        Grid((("",),))
+
+
+def test_grid_value_cache_is_invisible():
+    a = load_canonical("R4")
+    b = parse_grid(serialize_grid(a), name="R4")
+    a.flat_values(Notation.DEC)
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert a.flat_values(Notation.DEC) is a.flat_values(Notation.DEC)
+    assert a.flat_values(Notation.DEC) == tuple(v for row in KHAJURAHO for v in row)
