@@ -1,5 +1,8 @@
 """Command-line interface with stable text, CSV, JSON, and markdown output.
 
+Each command builds one payload, the document that ``--format json``
+prints, and renders its csv, md and text views from that payload.
+
 Exit codes: 0 on success, 1 when --strict verification finds a failing
 verdict, 2 on usage errors, unknown tables, or malformed input.
 """
@@ -24,21 +27,11 @@ FORMATS = ("text", "csv", "json", "md")
 _GROUPS = (enzymes.SAME, enzymes.OPPOSITE)
 
 
-def _probability_precision(side: int) -> int:
+def _precision(side: int, five_from: int) -> int:
+    """Decimal places: GENEMAGIC_PRECISION if set, else 5 from side ``five_from`` up, else 4."""
     env = os.environ.get("GENEMAGIC_PRECISION")
-    if env is not None:
-        return _env_precision(env)
-    return 5 if side >= 8 else 4
-
-
-def _entropy_precision(side: int) -> int:
-    env = os.environ.get("GENEMAGIC_PRECISION")
-    if env is not None:
-        return _env_precision(env)
-    return 5 if side >= 16 else 4
-
-
-def _env_precision(env: str) -> int:
+    if env is None:
+        return 5 if side >= five_from else 4
     try:
         value = int(env)
     except ValueError:
@@ -66,6 +59,14 @@ def _resolve_grid(args: argparse.Namespace) -> tables.Grid:
     raise ParseError("a canonical table id or --input FILE is required")
 
 
+def _emit(fmt: str, payload, view) -> None:
+    """Write ``payload`` as JSON, or as ``view(payload, fmt)`` for csv, md and text."""
+    if fmt == "json":
+        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    else:
+        sys.stdout.write(view(payload, fmt))
+
+
 def _csv(rows: list[list]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -73,16 +74,25 @@ def _csv(rows: list[list]) -> str:
     return buffer.getvalue()
 
 
-def _json(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def _md_table(header: list[str], rows: list[list[str]]) -> str:
+def _md_table(header: list[str], rows: list[list]) -> str:
     lines = ["| " + " | ".join(header) + " |"]
     lines.append("|" + "|".join(" --- " for _ in header) + "|")
     for row in rows:
         lines.append("| " + " | ".join(str(v) for v in row) + " |")
+    return _lines(lines)
+
+
+def _md_grid(rows: list[list]) -> str:
+    """A square of cells as a markdown table headed by column numbers."""
+    return _md_table([str(j + 1) for j in range(len(rows))], rows)
+
+
+def _lines(lines: list[str]) -> str:
     return "\n".join(lines) + "\n"
+
+
+def _yes(flag) -> str:
+    return "yes" if flag else "no"
 
 
 def _summarize(values) -> str:
@@ -97,35 +107,29 @@ def _summarize(values) -> str:
 # --------------------------------------------------------------------------
 
 def cmd_list(args: argparse.Namespace) -> int:
-    grids = [tables.load_canonical(tid) for tid in tables.CANONICAL_IDS]
-    if args.format == "json":
-        payload = [
-            {
-                "id": g.name,
-                "size": g.side,
-                "word_len": g.word_len,
-                "complete": g.is_complete(),
-            }
-            for g in grids
-        ]
-        sys.stdout.write(_json(payload))
-    elif args.format == "csv":
-        rows = [["id", "size", "word_len", "complete"]]
-        rows += [[g.name, g.side, g.word_len, g.is_complete()] for g in grids]
-        sys.stdout.write(_csv(rows))
-    elif args.format == "md":
-        rows = [
-            [g.name, f"{g.side}x{g.side}", g.word_len, "yes" if g.is_complete() else "no"]
-            for g in grids
-        ]
-        sys.stdout.write(_md_table(["id", "size", "n", "complete"], rows))
-    else:
-        for g in grids:
-            complete = "complete" if g.is_complete() else "partial"
-            sys.stdout.write(
-                f"{g.name:<4} {g.side:>2}x{g.side:<2} n={g.word_len} {complete}\n"
-            )
+    payload = [
+        {"id": g.name, "size": g.side, "word_len": g.word_len, "complete": g.is_complete()}
+        for g in map(tables.load_canonical, tables.CANONICAL_IDS)
+    ]
+    _emit(args.format, payload, _list_view)
     return 0
+
+
+def _list_view(payload: list[dict], fmt: str) -> str:
+    if fmt == "csv":
+        rows = [[t["id"], t["size"], t["word_len"], t["complete"]] for t in payload]
+        return _csv([["id", "size", "word_len", "complete"]] + rows)
+    if fmt == "md":
+        rows = [
+            [t["id"], f"{t['size']}x{t['size']}", t["word_len"], _yes(t["complete"])]
+            for t in payload
+        ]
+        return _md_table(["id", "size", "n", "complete"], rows)
+    return "".join(
+        f"{t['id']:<4} {t['size']:>2}x{t['size']:<2} n={t['word_len']} "
+        f"{'complete' if t['complete'] else 'partial'}\n"
+        for t in payload
+    )
 
 
 # --------------------------------------------------------------------------
@@ -139,23 +143,23 @@ def cmd_show(args: argparse.Namespace) -> int:
         cells = [list(row) for row in grid.cells]
     else:
         cells = [list(row) for row in magic.numeric_grid(grid, notation).values]
-    if args.format == "json":
-        payload = {
-            "grid": grid.name,
-            "size": grid.side,
-            "word_len": grid.word_len,
-            "notation": notation.value if notation else "letters",
-            "cells": cells,
-        }
-        sys.stdout.write(_json(payload))
-    elif args.format == "csv":
-        sys.stdout.write(_csv([[str(v) for v in row] for row in cells]))
-    elif args.format == "md":
-        header = [str(j + 1) for j in range(grid.side)]
-        sys.stdout.write(_md_table(header, [[str(v) for v in row] for row in cells]))
-    else:
-        sys.stdout.write(tables.serialize_grid(grid, notation))
+    payload = {
+        "grid": grid.name,
+        "size": grid.side,
+        "word_len": grid.word_len,
+        "notation": notation.value if notation else "letters",
+        "cells": cells,
+    }
+    _emit(args.format, payload, _show_view)
     return 0
+
+
+def _show_view(payload: dict, fmt: str) -> str:
+    if fmt == "csv":
+        return _csv(payload["cells"])
+    if fmt == "md":
+        return _md_grid(payload["cells"])
+    return tables.grid_text(payload["word_len"], payload["cells"])
 
 
 # --------------------------------------------------------------------------
@@ -225,94 +229,78 @@ def verify_payload(report: magic.MagicReport) -> dict:
     }
 
 
-def _verify_text(report: magic.MagicReport, md: bool = False) -> str:
-    bullet = "- " if md else ""
-    lines = []
-    if md:
-        lines.append(f"# verify {report.grid_name or 'grid'} ({report.notation.value})")
-        lines.append("")
-    else:
-        lines.append(f"grid: {report.grid_name or '-'}  notation: {report.notation.value}")
-    if report.s1 is not None:
-        lines.append(f"{bullet}S1 := {report.s1}")
-    else:
-        lines.append(f"{bullet}S1: none (row sums {_summarize(report.s1_rows)})")
-    if report.s2 is not None:
-        lines.append(f"{bullet}S2 := {report.s2}")
-    else:
-        lines.append(f"{bullet}S2: none (square sums differ)")
-    for name, verdict in (
-        ("magic", report.magic),
-        ("column-bimagic", report.column_bimagic),
-        ("bimagic", report.bimagic),
-    ):
-        lines.append(f"{bullet}{name}: {'yes' if verdict else 'no'}")
-    lines.append(f"{bullet}row sums: {_summarize(report.s1_rows)}")
-    lines.append(f"{bullet}column sums: {_summarize(report.s1_cols)}")
-    lines.append(
-        f"{bullet}diagonal sums: main {report.s1_diags[0]}, anti {report.s1_diags[1]}"
-    )
-    lines.append(f"{bullet}row square sums: {_summarize(report.s2_rows)}")
-    lines.append(f"{bullet}column square sums: {_summarize(report.s2_cols)}")
-    lines.append(
-        f"{bullet}diagonal square sums: main {report.s2_diags[0]}, anti {report.s2_diags[1]}"
-    )
-    for k, blocks in sorted(report.block_sums.items()):
-        totals = _summarize(b.total for b in blocks.values())
-        squares = _summarize(b.square_total for b in blocks.values())
-        lines.append(f"{bullet}{k}x{k} block sums: {totals}; square sums: {squares}")
-        if k >= 3:
-            good = sum(1 for b in blocks.values() if b.magic_subsquare)
-            lines.append(f"{bullet}{k}x{k} magic subsquares: {good}/{len(blocks)}")
-    if report.half_line_sums:
-        lines.append(
-            f"{bullet}half-line sums: {_summarize(report.half_line_sums.values())}"
-        )
-    if report.divisibility:
-        facts = "; ".join(f"{v} = {q} x 37" for v, q in report.divisibility)
-        lines.append(f"{bullet}divisible by 37: {facts}")
-    else:
-        lines.append(f"{bullet}divisible by 37: none")
-    return "\n".join(lines) + "\n"
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     grid = _resolve_grid(args)
     report = magic.analyze(grid, Notation.from_name(args.notation))
-    if args.format == "json":
-        sys.stdout.write(_json(verify_payload(report)))
-    elif args.format == "csv":
-        rows = [["kind", "index", "sum", "square_sum"]]
-        for entry in _region_entries(report):
-            rows.append([entry["kind"], entry["index"], entry["sum"], entry["square_sum"]])
-        for k, blocks in sorted(report.block_sums.items()):
-            for (bi, bj), sums in sorted(blocks.items()):
-                rows.append(
-                    [f"block_{k}x{k}", f"({bi + 1},{bj + 1})", sums.total, sums.square_total]
-                )
-        for entry in _half_line_entries(report):
-            rows.append(
-                [entry["kind"], f"{entry['index']} ({entry['half']})", entry["sum"], ""]
-            )
-        sys.stdout.write(_csv(rows))
-    else:
-        sys.stdout.write(_verify_text(report, md=args.format == "md"))
+    _emit(args.format, verify_payload(report), _verify_view)
     if args.strict and not report.magic:
         return 1
     return 0
 
 
+def _verify_view(payload: dict, fmt: str) -> str:
+    if fmt == "csv":
+        rows = [["kind", "index", "sum", "square_sum"]]
+        for entry in payload["regions"]:
+            rows.append([entry["kind"], entry["index"], entry["sum"], entry["square_sum"]])
+        for k, blocks in payload["blocks"].items():
+            for b in blocks:
+                cell = f"({b['row']},{b['col']})"
+                rows.append([f"block_{k}x{k}", cell, b["sum"], b["square_sum"]])
+        for entry in payload["half_lines"]:
+            rows.append([entry["kind"], f"{entry['index']} ({entry['half']})", entry["sum"], ""])
+        return _csv(rows)
+    md = fmt == "md"
+    bullet = "- " if md else ""
+    name, notation = payload["grid"], payload["notation"]
+    if md:
+        lines = [f"# verify {name or 'grid'} ({notation})", ""]
+    else:
+        lines = [f"grid: {name or '-'}  notation: {notation}"]
+    regions = payload["regions"]
+    rows = [r for r in regions if r["kind"] == "row"]
+    cols = [r for r in regions if r["kind"] == "column"]
+    main, anti = regions[-2:]
+    if payload["s1"] is not None:
+        lines.append(f"{bullet}S1 := {payload['s1']}")
+    else:
+        lines.append(f"{bullet}S1: none (row sums {_summarize(r['sum'] for r in rows)})")
+    if payload["s2"] is not None:
+        lines.append(f"{bullet}S2 := {payload['s2']}")
+    else:
+        lines.append(f"{bullet}S2: none (square sums differ)")
+    verdicts = payload["verdicts"]
+    for label, key in (
+        ("magic", "magic"),
+        ("column-bimagic", "column_bimagic"),
+        ("bimagic", "bimagic"),
+    ):
+        lines.append(f"{bullet}{label}: {_yes(verdicts[key])}")
+    for key, what in (("sum", "sums"), ("square_sum", "square sums")):
+        lines.append(f"{bullet}row {what}: {_summarize(r[key] for r in rows)}")
+        lines.append(f"{bullet}column {what}: {_summarize(c[key] for c in cols)}")
+        lines.append(f"{bullet}diagonal {what}: main {main[key]}, anti {anti[key]}")
+    for k, blocks in payload["blocks"].items():
+        totals = _summarize(b["sum"] for b in blocks)
+        squares = _summarize(b["square_sum"] for b in blocks)
+        lines.append(f"{bullet}{k}x{k} block sums: {totals}; square sums: {squares}")
+        if int(k) >= 3:
+            good = sum(1 for b in blocks if b["magic_subsquare"])
+            lines.append(f"{bullet}{k}x{k} magic subsquares: {good}/{len(blocks)}")
+    if payload["half_lines"]:
+        totals = _summarize(h["sum"] for h in payload["half_lines"])
+        lines.append(f"{bullet}half-line sums: {totals}")
+    if payload["divisibility"]:
+        facts = "; ".join(f"{d['value']} = {d['quotient']} x 37" for d in payload["divisibility"])
+        lines.append(f"{bullet}divisible by 37: {facts}")
+    else:
+        lines.append(f"{bullet}divisible by 37: none")
+    return _lines(lines)
+
+
 # --------------------------------------------------------------------------
 # entropy
 # --------------------------------------------------------------------------
-
-def _frac_entry(value: Fraction, precision: int, comma: bool) -> dict:
-    return {
-        "num": value.numerator,
-        "den": value.denominator,
-        "dec": _fmt(float(value), precision, comma),
-    }
-
 
 def cmd_entropy(args: argparse.Namespace) -> int:
     grid = _resolve_grid(args)
@@ -320,105 +308,86 @@ def cmd_entropy(args: argparse.Namespace) -> int:
     prob = entropy.normalize(grid, notation)
     report = entropy.shannon_report(prob)
     index = entropy.order_index(prob)
-    side = prob.side
-    p_prec = _probability_precision(side)
-    e_prec = _entropy_precision(side)
+    p_prec = _precision(prob.side, 8)
+    e_prec = _precision(prob.side, 16)
     comma = args.decimal_comma
-
-    def p(v: float) -> str:
-        return _fmt(v, p_prec, comma)
 
     def e(v: float) -> str:
         return _fmt(v, e_prec, comma)
 
-    if args.format == "json":
-        payload = {
-            "grid": grid.name,
-            "notation": notation.value,
-            "line_sum": prob.line_sum,
-            "precision": {"probability": p_prec, "entropy": e_prec},
-            "probabilities": [
-                [_frac_entry(v, p_prec, comma) for v in row] for row in prob.values
-            ],
-            "entropy_terms": [[e(t) for t in row] for row in report.terms],
-            "row_entropy": [e(v) for v in report.row_sums],
-            "column_entropy": [e(v) for v in report.col_sums],
-            "diagonal_entropy": {
-                "main": e(report.diag_sums[0]),
-                "anti": e(report.diag_sums[1]),
-            },
-            "order_index": {
-                "rows": [_frac_entry(v, e_prec, comma) for v in index.rows],
-                "columns": [_frac_entry(v, e_prec, comma) for v in index.cols],
-            },
+    def frac(value: Fraction, precision: int) -> dict:
+        return {
+            "num": value.numerator,
+            "den": value.denominator,
+            "dec": _fmt(float(value), precision, comma),
         }
-        sys.stdout.write(_json(payload))
-    elif args.format == "csv":
-        rows = [["kind", "row", "col", "numerator", "denominator", "value", "term"]]
-        for i, row in enumerate(prob.values):
-            for j, v in enumerate(row):
-                rows.append(
-                    ["cell", i + 1, j + 1, v.numerator, v.denominator,
-                     p(float(v)), e(report.terms[i][j])]
-                )
-        for i, v in enumerate(report.row_sums):
-            rows.append(["row_entropy", i + 1, "", "", "", e(v), ""])
-        for j, v in enumerate(report.col_sums):
-            rows.append(["column_entropy", "", j + 1, "", "", e(v), ""])
-        rows.append(["diagonal_entropy", "main", "", "", "", e(report.diag_sums[0]), ""])
-        rows.append(["diagonal_entropy", "anti", "", "", "", e(report.diag_sums[1]), ""])
-        for i, v in enumerate(index.rows):
-            rows.append(
-                ["row_order_index", i + 1, "", v.numerator, v.denominator, e(float(v)), ""]
-            )
-        for j, v in enumerate(index.cols):
-            rows.append(
-                ["column_order_index", "", j + 1, v.numerator, v.denominator, e(float(v)), ""]
-            )
-        sys.stdout.write(_csv(rows))
-    elif args.format == "md":
-        out = [f"# entropy {grid.name or 'grid'} ({notation.value})", ""]
-        out.append(f"- line sum: {prob.line_sum}")
-        out.append(f"- row entropy: {' '.join(e(v) for v in report.row_sums)}")
-        out.append(f"- column entropy: {' '.join(e(v) for v in report.col_sums)}")
-        out.append(
-            f"- diagonal entropy: main {e(report.diag_sums[0])}, anti {e(report.diag_sums[1])}"
-        )
-        out.append(
-            f"- order index per row: {' '.join(e(float(v)) for v in index.rows)}"
-        )
-        out.append(
-            f"- order index per column: {' '.join(e(float(v)) for v in index.cols)}"
-        )
-        out.append("")
-        header = [str(j + 1) for j in range(side)]
-        out.append("probabilities:")
-        out.append("")
-        out.append(
-            _md_table(header, [[p(float(v)) for v in row] for row in prob.values]).rstrip()
-        )
-        sys.stdout.write("\n".join(out) + "\n")
-    else:
-        out = [
-            f"grid: {grid.name or '-'}  notation: {notation.value}  line sum: {prob.line_sum}"
-        ]
-        out.append("probabilities:")
-        for row in prob.values:
-            out.append("  " + " ".join(p(float(v)) for v in row))
-        out.append("entropy terms:")
-        for row in report.terms:
-            out.append("  " + " ".join(e(t) for t in row))
-        out.append(f"row entropy: {' '.join(e(v) for v in report.row_sums)}")
-        out.append(f"column entropy: {' '.join(e(v) for v in report.col_sums)}")
-        out.append(
-            f"diagonal entropy: main {e(report.diag_sums[0])}, anti {e(report.diag_sums[1])}"
-        )
-        out.append(f"order index per row: {' '.join(e(float(v)) for v in index.rows)}")
-        out.append(
-            f"order index per column: {' '.join(e(float(v)) for v in index.cols)}"
-        )
-        sys.stdout.write("\n".join(out) + "\n")
+
+    payload = {
+        "grid": grid.name,
+        "notation": notation.value,
+        "line_sum": prob.line_sum,
+        "precision": {"probability": p_prec, "entropy": e_prec},
+        "probabilities": [[frac(v, p_prec) for v in row] for row in prob.values],
+        "entropy_terms": [[e(t) for t in row] for row in report.terms],
+        "row_entropy": [e(v) for v in report.row_sums],
+        "column_entropy": [e(v) for v in report.col_sums],
+        "diagonal_entropy": {
+            "main": e(report.diag_sums[0]),
+            "anti": e(report.diag_sums[1]),
+        },
+        "order_index": {
+            "rows": [frac(v, e_prec) for v in index.rows],
+            "columns": [frac(v, e_prec) for v in index.cols],
+        },
+    }
+    _emit(args.format, payload, _entropy_view)
     return 0
+
+
+def _entropy_view(payload: dict, fmt: str) -> str:
+    if fmt == "csv":
+        rows = [["kind", "row", "col", "numerator", "denominator", "value", "term"]]
+        cells = zip(payload["probabilities"], payload["entropy_terms"])
+        for i, (probs, terms) in enumerate(cells):
+            for j, (v, term) in enumerate(zip(probs, terms)):
+                rows.append(["cell", i + 1, j + 1, v["num"], v["den"], v["dec"], term])
+        for i, v in enumerate(payload["row_entropy"]):
+            rows.append(["row_entropy", i + 1, "", "", "", v, ""])
+        for j, v in enumerate(payload["column_entropy"]):
+            rows.append(["column_entropy", "", j + 1, "", "", v, ""])
+        for which, v in payload["diagonal_entropy"].items():
+            rows.append(["diagonal_entropy", which, "", "", "", v, ""])
+        for i, v in enumerate(payload["order_index"]["rows"]):
+            rows.append(["row_order_index", i + 1, "", v["num"], v["den"], v["dec"], ""])
+        for j, v in enumerate(payload["order_index"]["columns"]):
+            rows.append(["column_order_index", "", j + 1, v["num"], v["den"], v["dec"], ""])
+        return _csv(rows)
+    bullet = "- " if fmt == "md" else ""
+    diagonal = payload["diagonal_entropy"]
+    index = payload["order_index"]
+    summary = [
+        f"{bullet}row entropy: {' '.join(payload['row_entropy'])}",
+        f"{bullet}column entropy: {' '.join(payload['column_entropy'])}",
+        f"{bullet}diagonal entropy: main {diagonal['main']}, anti {diagonal['anti']}",
+        f"{bullet}order index per row: {' '.join(v['dec'] for v in index['rows'])}",
+        f"{bullet}order index per column: {' '.join(v['dec'] for v in index['columns'])}",
+    ]
+    probabilities = [[v["dec"] for v in row] for row in payload["probabilities"]]
+    if fmt == "md":
+        out = [f"# entropy {payload['grid'] or 'grid'} ({payload['notation']})", ""]
+        out.append(f"- line sum: {payload['line_sum']}")
+        out += summary
+        out += ["", "probabilities:", "", _md_grid(probabilities).rstrip()]
+        return _lines(out)
+    out = [
+        f"grid: {payload['grid'] or '-'}  notation: {payload['notation']}  "
+        f"line sum: {payload['line_sum']}"
+    ]
+    out.append("probabilities:")
+    out += ["  " + " ".join(row) for row in probabilities]
+    out.append("entropy terms:")
+    out += ["  " + " ".join(row) for row in payload["entropy_terms"]]
+    return _lines(out + summary)
 
 
 # --------------------------------------------------------------------------
@@ -443,61 +412,58 @@ def cmd_hamming(args: argparse.Namespace) -> int:
     freq = hamming.frequency_distribution(grid)
     regions = _balance_regions(grid)
     balance = hamming.balance_report(grid, regions) if regions else {}
-    if args.format == "json":
-        payload = {
-            "grid": grid.name,
-            "word_len": grid.word_len,
-            "weights": [list(row) for row in wg.weights],
-            "monomials": [list(row) for row in wg.monomials],
-            "frequency": {
-                "n": freq.word_len,
-                "counts": list(freq.counts),
-                "binomial": list(freq.binomial),
-                "expected": list(freq.expected),
-                "match": freq.match,
-            },
-            "balance": {r.label: ok for r, ok in balance.items()},
-        }
-        sys.stdout.write(_json(payload))
-    elif args.format == "csv":
-        rows = [["row", "col", "word", "weight", "monomial"]]
-        for i, row in enumerate(grid.cells):
-            for j, word in enumerate(row):
-                rows.append([i + 1, j + 1, word, wg.weights[i][j], wg.monomials[i][j]])
-        sys.stdout.write(_csv(rows))
-    elif args.format == "md":
-        out = [f"# hamming {grid.name or 'grid'}", ""]
-        header = [str(j + 1) for j in range(grid.side)]
-        out.append(
-            _md_table(
-                header,
-                [
-                    [f"{w} {m}" for w, m in zip(wrow, mrow)]
-                    for wrow, mrow in zip(wg.weights, wg.monomials)
-                ],
-            ).rstrip()
-        )
-        out.append("")
-        out.append(f"- counts by weight: {' '.join(str(c) for c in freq.counts)}")
-        out.append(f"- expected 2^n * C(n,k): {' '.join(str(c) for c in freq.expected)}")
-        out.append(f"- match: {'yes' if freq.match else 'no'}")
-        sys.stdout.write("\n".join(out) + "\n")
-    else:
-        out = [f"grid: {grid.name or '-'}  n={grid.word_len}"]
-        out.append("weights:")
-        for row in wg.weights:
-            out.append("  " + " ".join(str(w) for w in row))
-        out.append(f"counts by weight: {' '.join(str(c) for c in freq.counts)}")
-        out.append(f"expected 2^n * C(n,k): {' '.join(str(c) for c in freq.expected)}")
-        out.append(f"binomial match: {'yes' if freq.match else 'no'}")
-        if balance:
-            passed = sum(1 for ok in balance.values() if ok)
-            out.append(f"balanced regions: {passed}/{len(balance)}")
-            failing = [r.label for r, ok in balance.items() if not ok]
-            if failing:
-                out.append("unbalanced: " + "; ".join(failing))
-        sys.stdout.write("\n".join(out) + "\n")
+    payload = {
+        "grid": grid.name,
+        "word_len": grid.word_len,
+        "weights": [list(row) for row in wg.weights],
+        "monomials": [list(row) for row in wg.monomials],
+        "frequency": {
+            "n": freq.word_len,
+            "counts": list(freq.counts),
+            "binomial": list(freq.binomial),
+            "expected": list(freq.expected),
+            "match": freq.match,
+        },
+        "balance": {r.label: ok for r, ok in balance.items()},
+    }
+    # the csv view lists each cell's word, which the JSON document leaves out
+    _emit(args.format, payload, lambda p, fmt: _hamming_view(p, fmt, grid.cells))
     return 0
+
+
+def _hamming_view(payload: dict, fmt: str, words) -> str:
+    weights, monomials = payload["weights"], payload["monomials"]
+    if fmt == "csv":
+        rows = [["row", "col", "word", "weight", "monomial"]]
+        for i, (word_row, weight_row, monomial_row) in enumerate(zip(words, weights, monomials)):
+            for j, entry in enumerate(zip(word_row, weight_row, monomial_row)):
+                rows.append([i + 1, j + 1, *entry])
+        return _csv(rows)
+    bullet = "- " if fmt == "md" else ""
+    freq = payload["frequency"]
+    counts = [
+        f"{bullet}counts by weight: {' '.join(str(c) for c in freq['counts'])}",
+        f"{bullet}expected 2^n * C(n,k): {' '.join(str(c) for c in freq['expected'])}",
+    ]
+    if fmt == "md":
+        cells = [
+            [f"{w} {m}" for w, m in zip(weight_row, monomial_row)]
+            for weight_row, monomial_row in zip(weights, monomials)
+        ]
+        out = [f"# hamming {payload['grid'] or 'grid'}", "", _md_grid(cells).rstrip(), ""]
+        return _lines(out + counts + [f"- match: {_yes(freq['match'])}"])
+    out = [f"grid: {payload['grid'] or '-'}  n={payload['word_len']}", "weights:"]
+    out += ["  " + " ".join(str(w) for w in row) for row in weights]
+    out += counts
+    out.append(f"binomial match: {_yes(freq['match'])}")
+    balance = payload["balance"]
+    if balance:
+        passed = sum(1 for ok in balance.values() if ok)
+        out.append(f"balanced regions: {passed}/{len(balance)}")
+        failing = [label for label, ok in balance.items() if not ok]
+        if failing:
+            out.append("unbalanced: " + "; ".join(failing))
+    return _lines(out)
 
 
 # --------------------------------------------------------------------------
@@ -506,11 +472,11 @@ def cmd_hamming(args: argparse.Namespace) -> int:
 
 def _structure_payload(grid: tables.Grid, places: list[int]) -> dict:
     side = grid.side
+    regions = structure.standard_regions(side) if side % 4 == 0 else []
+    projections = {place: structure.place_letters(grid, place) for place in places}
     place_reports = {}
-    for place in places:
-        regions = structure.standard_regions(side) if side % 4 == 0 else []
+    for place, projection in projections.items():
         verdicts = structure.place_permutation_report(grid, place, regions)
-        projection = structure.place_letters(grid, place)
         if side >= 4:
             latin = structure.latin_square_check(projection)
             latin_entry = {"latin": latin.latin, "diagonal_latin": latin.diagonal_latin}
@@ -526,7 +492,7 @@ def _structure_payload(grid: tables.Grid, places: list[int]) -> dict:
             for b in places:
                 if a < b:
                     orthogonality[f"{a},{b}"] = structure.orthogonality_check(
-                        structure.place_letters(grid, a), structure.place_letters(grid, b)
+                        projections[a], projections[b]
                     )
     xor_entry = None
     if grid.word_len in (2, 3):
@@ -555,10 +521,12 @@ def cmd_structure(args: argparse.Namespace) -> int:
         places = [args.place]
     else:
         places = list(range(1, grid.word_len + 1))
-    payload = _structure_payload(grid, places)
-    if args.format == "json":
-        sys.stdout.write(_json(payload))
-    elif args.format == "csv":
+    _emit(args.format, _structure_payload(grid, places), _structure_view)
+    return 0
+
+
+def _structure_view(payload: dict, fmt: str) -> str:
+    if fmt == "csv":
         rows = [["kind", "place", "item", "result"]]
         for place, entry in payload["places"].items():
             for label, ok in entry["regions"].items():
@@ -573,44 +541,41 @@ def cmd_structure(args: argparse.Namespace) -> int:
         if payload["xor_grid"] is not None:
             rows.append(["xor_latin", "", "", payload["xor_grid"]["latin"]])
             rows.append(["xor_diagonal_latin", "", "", payload["xor_grid"]["diagonal_latin"]])
-        sys.stdout.write(_csv(rows))
+        return _csv(rows)
+    md = fmt == "md"
+    bullet = "- " if md else ""
+    if md:
+        out = [f"# structure {payload['grid'] or 'grid'}", ""]
     else:
-        bullet = "- " if args.format == "md" else ""
-        out = []
-        if args.format == "md":
-            out += [f"# structure {grid.name or 'grid'}", ""]
+        out = [f"grid: {payload['grid'] or '-'}  n={payload['word_len']}"]
+    for place, entry in payload["places"].items():
+        regions = entry["regions"]
+        passed = sum(1 for ok in regions.values() if ok)
+        if regions:
+            line = f"{bullet}place {place}: {passed}/{len(regions)} regions uniform"
         else:
-            out.append(f"grid: {grid.name or '-'}  n={grid.word_len}")
-        for place, entry in payload["places"].items():
-            regions = entry["regions"]
-            passed = sum(1 for ok in regions.values() if ok)
-            if regions:
-                line = f"{bullet}place {place}: {passed}/{len(regions)} regions uniform"
-            else:
-                line = f"{bullet}place {place}: not applicable (no regions)"
-            failing = [label for label, ok in regions.items() if not ok]
-            if failing:
-                line += " (failing: " + "; ".join(failing) + ")"
-            out.append(line)
-            if entry["projection_latin"] is not None:
-                latin = entry["projection_latin"]
-                out.append(
-                    f"{bullet}place {place} projection: latin "
-                    f"{'yes' if latin['latin'] else 'no'}, diagonal latin "
-                    f"{'yes' if latin['diagonal_latin'] else 'no'}"
-                )
-        for pair, ok in payload["orthogonality"].items():
-            out.append(f"{bullet}places {pair} orthogonal: {'yes' if ok else 'no'}")
-        if payload["xor_grid"] is not None:
-            xor = payload["xor_grid"]
+            line = f"{bullet}place {place}: not applicable (no regions)"
+        failing = [label for label, ok in regions.items() if not ok]
+        if failing:
+            line += " (failing: " + "; ".join(failing) + ")"
+        out.append(line)
+        if entry["projection_latin"] is not None:
+            latin = entry["projection_latin"]
             out.append(
-                f"{bullet}xor grid: latin {'yes' if xor['latin'] else 'no'}, "
-                f"diagonal latin {'yes' if xor['diagonal_latin'] else 'no'}"
+                f"{bullet}place {place} projection: latin {_yes(latin['latin'])}, "
+                f"diagonal latin {_yes(latin['diagonal_latin'])}"
             )
-            for row in xor["cells"]:
-                out.append("  " + " ".join(str(v) for v in row))
-        sys.stdout.write("\n".join(out) + "\n")
-    return 0
+    for pair, ok in payload["orthogonality"].items():
+        out.append(f"{bullet}places {pair} orthogonal: {_yes(ok)}")
+    if payload["xor_grid"] is not None:
+        xor = payload["xor_grid"]
+        out.append(
+            f"{bullet}xor grid: latin {_yes(xor['latin'])}, "
+            f"diagonal latin {_yes(xor['diagonal_latin'])}"
+        )
+        for row in xor["cells"]:
+            out.append("  " + " ".join(str(v) for v in row))
+    return _lines(out)
 
 
 # --------------------------------------------------------------------------
@@ -618,80 +583,68 @@ def cmd_structure(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_enzymes(args: argparse.Namespace) -> int:
-    records = [
-        r for r in enzymes.ENZYME_TABLE
-        if args.orientation is None or r.orientation == args.orientation
-    ]
-    sums = {
-        group: {nt.value: enzymes.orientation_sums(nt)[group] for nt in Notation}
-        for group in _GROUPS
+    sums = {nt.value: enzymes.orientation_sums(nt) for nt in Notation}
+    payload = {
+        "records": [
+            {
+                "tetramer": r.tetramer,
+                "orientation": r.orientation,
+                "enzyme_count": r.enzyme_count,
+                "encodings": {nt.value: encoding.encode(r.tetramer, nt) for nt in Notation},
+            }
+            for r in enzymes.ENZYME_TABLE
+            if args.orientation is None or r.orientation == args.orientation
+        ],
+        "sums": {group: {nt: s[group] for nt, s in sums.items()} for group in _GROUPS},
+        "enzyme_totals": {
+            group: sum(r.enzyme_count for r in enzymes.ENZYME_TABLE if r.orientation == group)
+            for group in _GROUPS
+        },
     }
-    counts = {
-        group: sum(r.enzyme_count for r in enzymes.ENZYME_TABLE if r.orientation == group)
-        for group in _GROUPS
-    }
-    if args.format == "json":
-        payload = {
-            "records": [
-                {
-                    "tetramer": r.tetramer,
-                    "orientation": r.orientation,
-                    "enzyme_count": r.enzyme_count,
-                    "encodings": {
-                        nt.value: encoding.encode(r.tetramer, nt) for nt in Notation
-                    },
-                }
-                for r in records
-            ],
-            "sums": sums,
-            "enzyme_totals": counts,
-        }
-        sys.stdout.write(_json(payload))
-    elif args.format == "csv":
+    _emit(args.format, payload, _enzymes_view)
+    return 0
+
+
+def _enzymes_view(payload: dict, fmt: str) -> str:
+    records, totals = payload["records"], payload["enzyme_totals"]
+    if fmt == "csv":
         rows = [["tetramer", "orientation", "enzyme_count", "bin", "digit", "dec"]]
         for r in records:
-            rows.append(
-                [r.tetramer, r.orientation, r.enzyme_count]
-                + [encoding.encode(r.tetramer, nt) for nt in Notation]
-            )
-        sys.stdout.write(_csv(rows))
-    elif args.format == "md":
+            codes = r["encodings"].values()
+            rows.append([r["tetramer"], r["orientation"], r["enzyme_count"], *codes])
+        return _csv(rows)
+    if fmt == "md":
         rows = [
             [
-                r.tetramer,
-                r.orientation,
-                str(r.enzyme_count),
-                f"{encoding.encode(r.tetramer, Notation.BIN):08d}",
-                str(encoding.encode(r.tetramer, Notation.DIGIT)),
-                str(encoding.encode(r.tetramer, Notation.DEC)),
+                r["tetramer"],
+                r["orientation"],
+                r["enzyme_count"],
+                f"{r['encodings']['bin']:08d}",
+                r["encodings"]["digit"],
+                r["encodings"]["dec"],
             ]
             for r in records
         ]
-        out = _md_table(
-            ["tetramer", "orientation", "enzymes", "bin", "digit", "dec"], rows
-        )
-        for group in _GROUPS:
+        out = _md_table(["tetramer", "orientation", "enzymes", "bin", "digit", "dec"], rows)
+        for group, sums in payload["sums"].items():
             out += (
-                f"\n- {group}: {counts[group]} enzymes; sums "
-                f"{sums[group]['bin']} / {sums[group]['digit']} / {sums[group]['dec']}"
+                f"\n- {group}: {totals[group]} enzymes; sums "
+                f"{sums['bin']} / {sums['digit']} / {sums['dec']}"
             )
-        sys.stdout.write(out + "\n")
-    else:
-        out = []
-        for r in records:
-            out.append(
-                f"{r.tetramer} {r.orientation:<8} enzymes={r.enzyme_count:<3} "
-                f"bin={encoding.encode(r.tetramer, Notation.BIN):08d} "
-                f"digit={encoding.encode(r.tetramer, Notation.DIGIT)} "
-                f"dec={encoding.encode(r.tetramer, Notation.DEC)}"
-            )
-        for group in _GROUPS:
-            out.append(
-                f"{group}: {counts[group]} enzymes; sums bin={sums[group]['bin']} "
-                f"digit={sums[group]['digit']} dec={sums[group]['dec']}"
-            )
-        sys.stdout.write("\n".join(out) + "\n")
-    return 0
+        return out + "\n"
+    out = []
+    for r in records:
+        codes = r["encodings"]
+        out.append(
+            f"{r['tetramer']} {r['orientation']:<8} enzymes={r['enzyme_count']:<3} "
+            f"bin={codes['bin']:08d} digit={codes['digit']} dec={codes['dec']}"
+        )
+    for group, sums in payload["sums"].items():
+        out.append(
+            f"{group}: {totals[group]} enzymes; sums bin={sums['bin']} "
+            f"digit={sums['digit']} dec={sums['dec']}"
+        )
+    return _lines(out)
 
 
 # --------------------------------------------------------------------------
@@ -699,27 +652,21 @@ def cmd_enzymes(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_translate(args: argparse.Namespace) -> int:
-    pairs = [(codon, encoding.translate(codon)) for codon in args.codons]
-    if args.format == "json":
-        payload = [
-            {"codon": encoding.parse_word(c), "amino_acid": aa} for c, aa in pairs
-        ]
-        sys.stdout.write(_json(payload))
-    elif args.format == "csv":
-        rows = [["codon", "amino_acid"]]
-        rows += [[encoding.parse_word(c), aa] for c, aa in pairs]
-        sys.stdout.write(_csv(rows))
-    elif args.format == "md":
-        sys.stdout.write(
-            _md_table(
-                ["codon", "amino acid"],
-                [[encoding.parse_word(c), aa] for c, aa in pairs],
-            )
-        )
-    else:
-        for codon, aa in pairs:
-            sys.stdout.write(f"{encoding.parse_word(codon)} {aa}\n")
+    payload = [
+        {"codon": encoding.parse_word(codon), "amino_acid": encoding.translate(codon)}
+        for codon in args.codons
+    ]
+    _emit(args.format, payload, _translate_view)
     return 0
+
+
+def _translate_view(payload: list[dict], fmt: str) -> str:
+    rows = [[t["codon"], t["amino_acid"]] for t in payload]
+    if fmt == "csv":
+        return _csv([["codon", "amino_acid"]] + rows)
+    if fmt == "md":
+        return _md_table(["codon", "amino acid"], rows)
+    return "".join(f"{codon} {aa}\n" for codon, aa in rows)
 
 
 # --------------------------------------------------------------------------

@@ -37,6 +37,8 @@ _BITS = str.maketrans(BIT_PAIRS)
 _DIGITS = str.maketrans(LETTER_DIGITS)
 #: One base-4 digit per letter: the bit string read in base 2 is this read in base 4.
 _QUATERNARY = str.maketrans("CATG", "0123")
+#: XOR of each letter's bit pair: 1 exactly for A (01) and T (10).
+_XOR = str.maketrans("CATG", "0110")
 
 #: Longest encodable word: 2n digits of a BIN numeral must stay within
 #: exact 64-bit range so renderings are portable as plain integers.
@@ -122,8 +124,7 @@ def xor_reduce(word: str) -> str:
 
     The result has a 1 exactly at the positions holding A or T.
     """
-    top, bottom = gray_pair(word)
-    return "".join("1" if a != b else "0" for a, b in zip(top, bottom))
+    return parse_word(word).translate(_XOR)
 
 
 def hamming_weight(word: str) -> int:

@@ -42,12 +42,10 @@ class Grid:
             if len(row) != side:
                 raise ShapeError(f"row {i + 1} has {len(row)} cells, expected {side}")
         word_len = len(self.cells[0][0])
-        for row in self.cells:
-            for word in row:
+        for i, row in enumerate(self.cells):
+            for j, word in enumerate(row):
                 if len(word) != word_len:
-                    raise ShapeError(
-                        f"cell {word!r} has length {len(word)}, expected {word_len}"
-                    )
+                    raise _length_error(word, i, j, word_len)
         if word_len == 0:
             raise ParseError("empty word")
         if "".join(self.words()).translate(_DROP_LETTERS):
@@ -90,6 +88,13 @@ def _split_rows(flat: Sequence, side: int) -> tuple[tuple, ...]:
     return tuple(tuple(flat[i:i + side]) for i in range(0, side * side, side))
 
 
+def _length_error(cell: str, i: int, j: int, word_len: int) -> ShapeError:
+    return ShapeError(
+        f"cell {cell!r} at row {i + 1}, column {j + 1} has length {len(cell)}, "
+        f"expected {word_len}"
+    )
+
+
 def _check_letters(cell: str, i: int, j: int) -> None:
     """Raise ParseError naming the first letter of ``cell`` outside upper-case C/A/T/G."""
     if not cell.translate(_DROP_LETTERS):
@@ -103,7 +108,11 @@ def _check_letters(cell: str, i: int, j: int) -> None:
 
 
 def parse_grid(text: str, name: str | None = None, require_complete: bool = False) -> Grid:
-    """Parse the grid file format; see the module docstring."""
+    """Parse the grid file format; see the module docstring.
+
+    Only the header is checked here: ``size`` against the row count and
+    ``n`` against the first cell.  ``Grid`` checks every cell.
+    """
     lines = [
         line.strip()
         for line in text.splitlines()
@@ -123,33 +132,22 @@ def parse_grid(text: str, name: str | None = None, require_complete: bool = Fals
         keys = [key for key, _ in pairs]
         repeated = next(key for key in keys if keys.count(key) > 1)
         raise ParseError(f"bad header {lines[0]!r}: key {repeated!r} given more than once")
-    body = lines[1:]
-    if len(body) != side:
-        raise ShapeError(f"expected {side} rows, found {len(body)}")
-    rows = []
-    for i, line in enumerate(body):
-        cells = line.split()
-        if len(cells) != side:
-            raise ShapeError(f"row {i + 1} has {len(cells)} cells, expected {side}")
-        for j, cell in enumerate(cells):
-            if len(cell) != word_len:
-                raise ShapeError(
-                    f"cell {cell!r} at row {i + 1}, column {j + 1} has length "
-                    f"{len(cell)}, expected {word_len}"
-                )
-            _check_letters(cell, i, j)
-        rows.append(tuple(cells))
-    grid = Grid(tuple(rows), name=name)
+    rows = tuple(tuple(line.split()) for line in lines[1:])
+    if len(rows) != side:
+        raise ShapeError(f"expected {side} rows, found {len(rows)}")
+    if rows and len(rows[0][0]) != word_len:
+        raise _length_error(rows[0][0], 0, 0, word_len)
+    grid = Grid(rows, name=name)
     if require_complete:
-        seen: dict[str, tuple[int, int]] = {}
+        seen: set[str] = set()
         for i, row in enumerate(grid.cells):
             for j, word in enumerate(row):
                 if word in seen:
                     raise DataError(
                         f"duplicate cell {word!r} at row {i + 1}, column {j + 1}"
                     )
-                seen[word] = (i, j)
-        if not grid.is_complete():
+                seen.add(word)
+        if len(seen) != 4 ** word_len:
             raise DataError(
                 f"grid is not complete: {side * side} cells cannot cover "
                 f"all {4 ** word_len} words of length {word_len}"
@@ -162,8 +160,13 @@ def serialize_grid(grid: Grid, notation: Notation | None = None) -> str:
     if notation is None:
         rows = grid.cells
     else:
-        rows = _split_rows([str(v) for v in grid.flat_values(notation)], grid.side)
-    lines = [f"n={grid.word_len} size={grid.side}"] + [" ".join(row) for row in rows]
+        rows = _split_rows(grid.flat_values(notation), grid.side)
+    return grid_text(grid.word_len, rows)
+
+
+def grid_text(word_len: int, rows: Sequence[Sequence]) -> str:
+    """The grid file form of ``rows`` of words, or of numerals in the same layout."""
+    lines = [f"n={word_len} size={len(rows)}"] + [" ".join(map(str, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -49,7 +49,10 @@ DEFECTS = {
     "empty.txt": b"# nothing but a comment\n\n",
 }
 #: A well-formed file with comments, blank lines and trailing blanks.
-COMMENTED = b"# the Khajuraho square\nn=2 size=4\n\nAT TG CC GA  \n# a comment\nCA GC AG TT\nGG CT TA AC\nTC AA GT CG\n"
+COMMENTED = (
+    b"# the Khajuraho square\nn=2 size=4\n\nAT TG CC GA  \n"
+    b"# a comment\nCA GC AG TT\nGG CT TA AC\nTC AA GT CG\n"
+)
 
 
 def _case(argv, **env) -> dict:
@@ -62,7 +65,7 @@ def requests() -> dict[str, list[dict]]:
         "list", "show", "verify", "entropy", "hamming", "structure",
         "enzymes", "translate", "input", "usage",
     )}
-    groups["list"] = [_case(["list", "--format", fmt]) for fmt in FORMATS]
+    groups["list"] += [_case(["list", "--format", fmt]) for fmt in FORMATS]
     for table in TABLES:
         for fmt in FORMATS:
             for command in ("show", "hamming", "structure"):
@@ -96,7 +99,8 @@ def requests() -> dict[str, list[dict]]:
     groups["entropy"].append(_case(["entropy", "M2"], GENEMAGIC_PRECISION="x"))
     for place in ("1", "2", "3", "4"):
         for fmt in FORMATS:
-            groups["structure"].append(_case(["structure", "R16", "--place", place, "--format", fmt]))
+            argv = ["structure", "R16", "--place", place, "--format", fmt]
+            groups["structure"].append(_case(argv))
     for table, place in (("R8A", "3"), ("R8B", "2"), ("R4", "1"), ("M1", "1")):
         groups["structure"].append(_case(["structure", table, "--place", place]))
     for table, place in (("R4", "3"), ("R4", "0"), ("R16", "-1")):
@@ -106,7 +110,8 @@ def requests() -> dict[str, list[dict]]:
         for fmt in FORMATS:
             groups["enzymes"].append(_case(["enzymes"] + opt + ["--format", fmt]))
     for fmt in FORMATS:
-        groups["translate"].append(_case(["translate", "CAG", "TAA", "uuu", "atg", "--format", fmt]))
+        argv = ["translate", "CAG", "TAA", "uuu", "atg", "--format", fmt]
+        groups["translate"].append(_case(argv))
     groups["translate"] += [
         _case(["translate", "CAGA"]),
         _case(["translate", "CAG", "CXG"]),
@@ -127,7 +132,7 @@ def requests() -> dict[str, list[dict]]:
     for name in sorted(DEFECTS) + ["missing.txt"]:
         groups["input"].append(_case(["verify", "--input", f"inputs/{name}"]))
     groups["input"].append(_case(["show", "--input", "inputs/missing.txt", "--format", "json"]))
-    groups["usage"] = [
+    groups["usage"] += [
         _case(argv) for argv in (
             [],
             ["bogus"],
@@ -199,7 +204,8 @@ def main() -> None:
     from genemagic import load_canonical, serialize_grid
 
     for table in TABLES:
-        (inputs / f"{table}.txt").write_text(serialize_grid(load_canonical(table)), encoding="utf-8")
+        text = serialize_grid(load_canonical(table))
+        (inputs / f"{table}.txt").write_text(text, encoding="utf-8")
     for name, data in DEFECTS.items():
         (inputs / name).write_bytes(data)
     (inputs / "R4_commented.txt").write_bytes(COMMENTED)

@@ -205,7 +205,7 @@ def test_unknown_table_id():
 def test_grid_constructor_rejects_bad_shapes():
     with pytest.raises(ShapeError):
         Grid((("AT", "TG"), ("CA",)))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match="'TGA' at row 1, column 2 has length 3, expected 2"):
         Grid((("AT", "TGA"), ("CA", "GC")))
     with pytest.raises(ShapeError):
         Grid(())
