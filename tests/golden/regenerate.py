@@ -32,6 +32,7 @@ SRC = HERE.parents[1] / "src"
 TABLES = ("M1", "M2", "M3", "R4", "R8A", "R8B", "R16", "ENZ")
 FORMATS = ("text", "csv", "json", "md")
 NOTATIONS = ("bin", "digit", "dec")
+COMMANDS = ("list", "show", "verify", "entropy", "hamming", "structure", "enzymes", "translate")
 #: Environment variables a request may set; all others are left as they are.
 ENV_KEYS = ("GENEMAGIC_PRECISION", "COLUMNS")
 
@@ -61,10 +62,7 @@ def _case(argv, **env) -> dict:
 
 def requests() -> dict[str, list[dict]]:
     """Every pinned request, grouped by the golden file that holds it."""
-    groups: dict[str, list[dict]] = {name: [] for name in (
-        "list", "show", "verify", "entropy", "hamming", "structure",
-        "enzymes", "translate", "input", "usage",
-    )}
+    groups: dict[str, list[dict]] = {name: [] for name in (*COMMANDS, "input", "usage")}
     groups["list"] += [_case(["list", "--format", fmt]) for fmt in FORMATS]
     for table in TABLES:
         for fmt in FORMATS:
@@ -148,6 +146,10 @@ def requests() -> dict[str, list[dict]]:
             ["hamming", "R4", "--notation", "dec"],
         )
     ]
+    # help texts: the parser's declared arguments, their order, choices and defaults
+    groups["usage"].append(_case(["-h"]))
+    for command in COMMANDS:
+        groups["usage"].append(_case([command, "-h"]))
     return groups
 
 
