@@ -138,7 +138,7 @@ def _list_view(payload: list[dict], fmt: str) -> str:
 
 def cmd_show(args: argparse.Namespace) -> int:
     grid = _resolve_grid(args)
-    notation = Notation.from_name(args.notation) if args.notation else None
+    notation = Notation(args.notation) if args.notation else None
     if notation is None:
         cells = [list(row) for row in grid.cells]
     else:
@@ -231,7 +231,7 @@ def verify_payload(report: magic.MagicReport) -> dict:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     grid = _resolve_grid(args)
-    report = magic.analyze(grid, Notation.from_name(args.notation))
+    report = magic.analyze(grid, Notation(args.notation))
     _emit(args.format, verify_payload(report), _verify_view)
     if args.strict and not report.magic:
         return 1
@@ -304,7 +304,7 @@ def _verify_view(payload: dict, fmt: str) -> str:
 
 def cmd_entropy(args: argparse.Namespace) -> int:
     grid = _resolve_grid(args)
-    notation = Notation.from_name(args.notation)
+    notation = Notation(args.notation)
     prob = entropy.normalize(grid, notation)
     report = entropy.shannon_report(prob)
     index = entropy.order_index(prob)
@@ -515,12 +515,7 @@ def _structure_payload(grid: tables.Grid, places: list[int]) -> dict:
 
 def cmd_structure(args: argparse.Namespace) -> int:
     grid = _resolve_grid(args)
-    if args.place is not None:
-        if not 1 <= args.place <= grid.word_len:
-            raise ParseError(f"place {args.place} out of range 1..{grid.word_len}")
-        places = [args.place]
-    else:
-        places = list(range(1, grid.word_len + 1))
+    places = [args.place] if args.place is not None else list(range(1, grid.word_len + 1))
     _emit(args.format, _structure_payload(grid, places), _structure_view)
     return 0
 
@@ -673,6 +668,47 @@ def _translate_view(payload: list[dict], fmt: str) -> str:
 # parser
 # --------------------------------------------------------------------------
 
+#: The grid source: a canonical table id or ``--input FILE``.
+_GRID = [
+    ("table", {"nargs": "?", "help": "canonical table id (see 'list')"}),
+    ("--input", {"metavar": "FILE", "help": "read the grid from a file"}),
+]
+_NOTATIONS = {"choices": [nt.value for nt in Notation], "help": "numeral rendering"}
+_NOTATION = ("--notation", {**_NOTATIONS, "default": "dec"})
+_FORMAT = ("--format", {"choices": FORMATS, "default": "text", "help": "output format"})
+
+#: Subcommands in parser order: name -> (help, argument specs in usage order).
+_COMMANDS = {
+    "list": ("list the canonical tables", [_FORMAT]),
+    "show": ("print a table as letters or numerals", [
+        *_GRID,
+        ("--notation", {**_NOTATIONS, "help": "numeral rendering (default: letters)"}),
+        _FORMAT,
+    ]),
+    "verify": ("exact magic/bimagic verification report", [
+        *_GRID, _NOTATION, _FORMAT,
+        ("--strict", {"action": "store_true", "help": "exit 1 when the grid is not magic"}),
+    ]),
+    "entropy": ("probabilities, Shannon entropy, order index", [
+        *_GRID, _NOTATION, _FORMAT,
+        ("--decimal-comma",
+         {"action": "store_true", "help": "render decimals with a comma separator"}),
+    ]),
+    "hamming": ("weight grid and binomial frequency report", [*_GRID, _FORMAT]),
+    "structure": ("letter permutation and Latin square report", [
+        *_GRID, _FORMAT,
+        ("--place", {"type": int, "help": "restrict to one letter place"}),
+    ]),
+    "enzymes": ("antiparallel tetramer table with encodings", [
+        ("--orientation", {"choices": list(_GROUPS), "help": "restrict to one orientation group"}),
+        _FORMAT,
+    ]),
+    "translate": ("translate codons to amino-acid labels", [
+        ("codons", {"nargs": "+", "metavar": "CODON"}), _FORMAT,
+    ]),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="genemagic",
@@ -680,75 +716,12 @@ def build_parser() -> argparse.ArgumentParser:
         "verification, entropy, Hamming, and enzyme reports.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def table_args(
-        p: argparse.ArgumentParser,
-        notation_default: str | None = "dec",
-        with_notation: bool = True,
-    ):
-        p.add_argument("table", nargs="?", help="canonical table id (see 'list')")
-        p.add_argument("--input", metavar="FILE", help="read the grid from a file")
-        if with_notation:
-            p.add_argument(
-                "--notation",
-                choices=["bin", "digit", "dec"],
-                default=notation_default,
-                help="numeral rendering" + ("" if notation_default else " (default: letters)"),
-            )
-
-    def format_arg(p: argparse.ArgumentParser):
-        p.add_argument("--format", choices=FORMATS, default="text", help="output format")
-
-    p = sub.add_parser("list", help="list the canonical tables")
-    format_arg(p)
-    p.set_defaults(func=cmd_list)
-
-    p = sub.add_parser("show", help="print a table as letters or numerals")
-    table_args(p, notation_default=None)
-    format_arg(p)
-    p.set_defaults(func=cmd_show)
-
-    p = sub.add_parser("verify", help="exact magic/bimagic verification report")
-    table_args(p)
-    format_arg(p)
-    p.add_argument(
-        "--strict", action="store_true", help="exit 1 when the grid is not magic"
-    )
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("entropy", help="probabilities, Shannon entropy, order index")
-    table_args(p)
-    format_arg(p)
-    p.add_argument(
-        "--decimal-comma",
-        action="store_true",
-        help="render decimals with a comma separator",
-    )
-    p.set_defaults(func=cmd_entropy)
-
-    p = sub.add_parser("hamming", help="weight grid and binomial frequency report")
-    table_args(p, with_notation=False)
-    format_arg(p)
-    p.set_defaults(func=cmd_hamming)
-
-    p = sub.add_parser("structure", help="letter permutation and Latin square report")
-    table_args(p, with_notation=False)
-    format_arg(p)
-    p.add_argument("--place", type=int, help="restrict to one letter place")
-    p.set_defaults(func=cmd_structure)
-
-    p = sub.add_parser("enzymes", help="antiparallel tetramer table with encodings")
-    p.add_argument(
-        "--orientation", choices=list(_GROUPS), help="restrict to one orientation group"
-    )
-    format_arg(p)
-    p.set_defaults(func=cmd_enzymes)
-
-    p = sub.add_parser("translate", help="translate codons to amino-acid labels")
-    p.add_argument("codons", nargs="+", metavar="CODON")
-    format_arg(p)
-    p.set_defaults(func=cmd_translate)
-
+    for name, (help_text, specs) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in specs:
+            p.add_argument(flag, **options)
+        # cmd_<name> is looked up on each build, so a wrapper installed over it is called
+        p.set_defaults(func=globals()[f"cmd_{name}"])
     return parser
 
 

@@ -52,15 +52,6 @@ class Notation(enum.Enum):
     DIGIT = "digit"
     DEC = "dec"
 
-    @classmethod
-    def from_name(cls, name: str) -> "Notation":
-        try:
-            return cls(name.lower())
-        except ValueError:
-            raise ParseError(
-                f"unknown notation {name!r}; expected bin, digit or dec"
-            ) from None
-
 
 class GrayPair(NamedTuple):
     """Per-word pair of bit strings: first bits and second bits of each letter."""
