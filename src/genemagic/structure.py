@@ -15,6 +15,9 @@ HALF_NAMES = {
     "half_column": ("top", "bottom"),
     "half_diagonal": ("first", "second"),
 }
+#: How many values each region kind's index holds.
+_ARITY = dict(row=1, column=1, main_diagonal=0, anti_diagonal=0, block=3)
+_ARITY.update(dict.fromkeys(HALF_NAMES, 2))
 
 
 @dataclass(frozen=True)
@@ -57,6 +60,10 @@ class Region:
 # run in C, rather than on the Region objects themselves.
 @functools.lru_cache(maxsize=4096)
 def _cells(kind: str, idx: tuple[int, ...], side: int) -> tuple[tuple[int, int], ...]:
+    if kind not in _ARITY:
+        raise ShapeError(f"unknown region kind {kind!r}")
+    if len(idx) != _ARITY[kind]:
+        raise ShapeError(f"{kind} region index {idx!r} must have length {_ARITY[kind]}")
     if kind == "row":
         return tuple((idx[0], j) for j in range(side))
     if kind == "column":
@@ -67,24 +74,26 @@ def _cells(kind: str, idx: tuple[int, ...], side: int) -> tuple[tuple[int, int],
         return tuple((i, side - 1 - i) for i in range(side))
     if kind == "block":
         k, bi, bj = idx
+        if k < 1:
+            raise ShapeError(f"block region index {idx!r} has block size {k}, expected at least 1")
         if side % k:
             raise ShapeError(f"block size {k} does not divide side {side}")
         return tuple(
             (bi * k + di, bj * k + dj) for di in range(k) for dj in range(k)
         )
-    if kind in ("half_row", "half_column", "half_diagonal"):
-        if side % 2:
-            raise ShapeError(f"half regions need an even side, got {side}")
-        which, half = idx
-        span = range(half * side // 2, (half + 1) * side // 2)
-        if kind == "half_row":
-            return tuple((which, j) for j in span)
-        if kind == "half_column":
-            return tuple((i, which) for i in span)
-        if which == 0:
-            return tuple((i, i) for i in span)
-        return tuple((i, side - 1 - i) for i in span)
-    raise ShapeError(f"unknown region kind {kind!r}")
+    which, half = idx
+    if half not in (0, 1) or (kind == "half_diagonal" and which not in (0, 1)):
+        raise ShapeError(f"{kind} region index {idx!r}: its selectors must be 0 or 1")
+    if side % 2:
+        raise ShapeError(f"half regions need an even side, got {side}")
+    span = range(half * side // 2, (half + 1) * side // 2)
+    if kind == "half_row":
+        return tuple((which, j) for j in span)
+    if kind == "half_column":
+        return tuple((i, which) for i in span)
+    if which == 0:
+        return tuple((i, i) for i in span)
+    return tuple((i, side - 1 - i) for i in span)
 
 
 @functools.lru_cache(maxsize=4096)

@@ -22,6 +22,7 @@ from genemagic import (
     Grid,
     Notation,
     ProbabilityGrid,
+    Region,
     analyze,
     balance_report,
     block_report,
@@ -423,3 +424,59 @@ def test_analyze_and_normalize_encode_each_grid_once_per_notation(monkeypatch):
             normalize(grid, notation)
         assert encoded == {notation: expected for notation in Notation}
     assert parsed["words"] == 0
+
+
+
+# ---------------------------------------------------------------------------
+# Generated malformed inputs end in a GenemagicError, never another exception.
+# ---------------------------------------------------------------------------
+
+REGION_KINDS = (
+    "row", "column", "main_diagonal", "anti_diagonal", "block",
+    "half_row", "half_column", "half_diagonal", "spiral",
+)
+
+
+@examples(400)
+@given(
+    st.sampled_from(REGION_KINDS),
+    st.lists(st.integers(-3, 20), max_size=4).map(tuple),
+    st.sampled_from(("R4", "R16")),
+)
+def test_any_region_is_checked_or_rejected_with_a_genemagic_error(kind, index, table_id):
+    grid = load_canonical(table_id)
+    region = Region(kind, index)
+    for call in (
+        lambda: region.cells(grid.side),
+        lambda: place_permutation_report(grid, 1, [region]),
+        lambda: balance_report(grid, [region]),
+    ):
+        try:
+            result = call()
+        except GenemagicError:
+            continue
+        if isinstance(result, dict):
+            # a region that a report accepts covers cells, all inside the grid
+            cells = region.cells(grid.side)
+            assert cells and all(0 <= i < grid.side and 0 <= j < grid.side for i, j in cells)
+
+
+def grid_like_texts():
+    """A header and rows of words, each part possibly malformed."""
+    words = st.text(alphabet="CATGUax", max_size=4)
+    rows = st.lists(st.lists(words, max_size=5).map(" ".join), max_size=5)
+    return st.builds(
+        lambda n, size, body: f"n={n} size={size}\n" + "\n".join(body),
+        st.integers(-1, 5),
+        st.integers(-1, 5),
+        rows,
+    )
+
+
+@examples(200)
+@given(st.one_of(st.text(), st.text(alphabet="CATGcU n=size0123#\n\t"), grid_like_texts()))
+def test_parse_grid_rejects_any_text_with_a_genemagic_error(text):
+    try:
+        parse_grid(text)
+    except GenemagicError:
+        pass

@@ -1,9 +1,12 @@
 """Place permutations, Latin-square checks, and XOR letter grids."""
 
+import re
+
 import pytest
 
 from genemagic import (
     Region,
+    balance_report,
     latin_square_check,
     load_canonical,
     orthogonality_check,
@@ -185,3 +188,28 @@ def test_half_rows_cover_rows():
         assert len(region.cells(8)) == 4
     assert len(half_rows(8)) == 16
     assert len(diagonals()) == 2
+
+
+
+@pytest.mark.parametrize(
+    "kind, index, words",
+    [
+        ("block", (0, 0, 0), "block size 0"),
+        ("block", (-2, 0, 0), "block size -2"),
+        ("row", (), "length 1"),
+        ("main_diagonal", (0,), "length 0"),
+        ("half_row", (0, 2), "selectors must be 0 or 1"),
+        ("half_column", (1, -1), "selectors"),
+        ("half_diagonal", (5, 0), "selectors"),
+    ],
+)
+def test_malformed_region_index_is_a_shape_error(kind, index, words):
+    # the message names the kind and the index: no label can be built for these
+    region = Region(kind, index)
+    message = rf"{kind} region index {re.escape(repr(index))}.*{words}"
+    with pytest.raises(ShapeError, match=message):
+        region.cells(4)
+    with pytest.raises(ShapeError):
+        place_permutation_report(R4, 1, [region])
+    with pytest.raises(ShapeError):
+        balance_report(R4, [region])
