@@ -16,8 +16,8 @@ HALF_NAMES = {
     "half_diagonal": ("first", "second"),
 }
 #: How many values each region kind's index holds.
-_ARITY = dict(row=1, column=1, main_diagonal=0, anti_diagonal=0, block=3)
-_ARITY.update(dict.fromkeys(HALF_NAMES, 2))
+_ARITY = {"row": 1, "column": 1, "main_diagonal": 0, "anti_diagonal": 0, "block": 3,
+          **dict.fromkeys(HALF_NAMES, 2)}
 
 
 @dataclass(frozen=True)

@@ -426,7 +426,6 @@ def test_analyze_and_normalize_encode_each_grid_once_per_notation(monkeypatch):
     assert parsed["words"] == 0
 
 
-
 # ---------------------------------------------------------------------------
 # Generated malformed inputs end in a GenemagicError, never another exception.
 # ---------------------------------------------------------------------------

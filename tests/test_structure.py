@@ -190,7 +190,6 @@ def test_half_rows_cover_rows():
     assert len(diagonals()) == 2
 
 
-
 @pytest.mark.parametrize(
     "kind, index, words",
     [
