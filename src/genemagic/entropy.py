@@ -2,8 +2,9 @@
 
 Probabilities are exact rationals cell/S1, so every row of a magic grid
 sums to exactly 1.  Entropy terms use base-10 logarithms, -p * log10(p),
-with the 0 * log 0 = 0 convention; they are computed from the exact
-rationals, never from rounded decimal displays.
+with the 0 * log 0 = 0 convention.  Each p is taken from the exact
+integers v / S1 by integer true division, which is correctly rounded, so
+it is the float nearest the exact rational, never a rounded decimal display.
 
 The order index of a probability line is sum(p**2), kept as an exact
 rational.  For a bimagic grid it equals S2 / S1**2 on every line.
@@ -12,7 +13,7 @@ rational.  For a bimagic grid it equals S2 / S1**2 on every line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -24,12 +25,27 @@ from .tables import Grid, _split_rows
 
 @dataclass(frozen=True)
 class ProbabilityGrid:
-    """Exact cell/S1 probabilities of a grid magic under some notation."""
+    """Exact cell/S1 probabilities of a grid magic under some notation.
+
+    ``scaled`` holds the same probabilities as integers over one common
+    denominator, (row-major numerators, denominator): the cell values over
+    S1 from ``normalize``, or derived from ``values`` when not given, so
+    pass it only together with the values it describes.  It is not
+    compared or shown, so equality and repr see only the fractions.
+    """
 
     values: tuple[tuple[Fraction, ...], ...]
     notation: Notation
     line_sum: int
     source: str | None = None
+    scaled: tuple[tuple[int, ...], int] | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.scaled is None:
+            flat = [v for row in self.values for v in row]
+            d = math.lcm(*(v.denominator for v in flat))
+            scaled = tuple(v.numerator * (d // v.denominator) for v in flat), d
+            object.__setattr__(self, "scaled", scaled)
 
     @property
     def side(self) -> int:
@@ -61,14 +77,15 @@ def normalize(grid: Grid, notation: Notation) -> ProbabilityGrid:
     if target == 0:
         raise PreconditionError("magic sum is zero; cannot normalize")
     probabilities = _split_rows([Fraction(v, target) for v in values], side)
-    return ProbabilityGrid(probabilities, notation, target, grid.name)
+    return ProbabilityGrid(probabilities, notation, target, grid.name, (values, target))
 
 
 def entropy_term(p: Fraction) -> float:
     """-p * log10(p), with 0 mapping to 0."""
     if p == 0:
         return 0.0
-    return -float(p) * math.log10(float(p))
+    x = p.numerator / p.denominator
+    return -x * math.log10(x)
 
 
 @dataclass(frozen=True)
@@ -83,15 +100,16 @@ class EntropyReport:
 
 def shannon_report(p: ProbabilityGrid) -> EntropyReport:
     side = p.side
-    terms = tuple(tuple(entropy_term(v) for v in row) for row in p.values)
+    numerators, d = p.scaled
+    # n / d is float(Fraction(n, d)), so each term equals entropy_term's
+    log10 = math.log10
+    terms = [-(n / d) * log10(n / d) if n else 0.0 for n in numerators]
+    sums = [math.fsum(get(terms)) for get in _grid_lines(side)]
     return EntropyReport(
-        terms=terms,
-        row_sums=tuple(math.fsum(row) for row in terms),
-        col_sums=tuple(math.fsum(terms[i][j] for i in range(side)) for j in range(side)),
-        diag_sums=(
-            math.fsum(terms[i][i] for i in range(side)),
-            math.fsum(terms[i][side - 1 - i] for i in range(side)),
-        ),
+        terms=_split_rows(terms, side),
+        row_sums=tuple(sums[:side]),
+        col_sums=tuple(sums[side:2 * side]),
+        diag_sums=tuple(sums[2 * side:]),
     )
 
 
@@ -104,12 +122,10 @@ class OrderIndex(NamedTuple):
 
 def order_index(p: ProbabilityGrid) -> OrderIndex:
     side = p.side
-    # Over a common denominator d each p is an integer n/d, so a line's
+    # Over the common denominator d each p is an integer n/d, so a line's
     # sum(p**2) is the one exact fraction sum(n*n) / d**2.
-    flat = [v for row in p.values for v in row]
-    d = math.lcm(*(v.denominator for v in flat))
-    squares = [(v.numerator * (d // v.denominator)) ** 2 for v in flat]
-    sums = _tally(squares, _grid_lines(side)[:2 * side])
+    numerators, d = p.scaled
+    sums = _tally([n * n for n in numerators], _grid_lines(side)[:2 * side])
     d2 = d * d
     return OrderIndex(
         rows=tuple(Fraction(total, d2) for total in sums[:side]),

@@ -12,7 +12,7 @@ from math import comb
 from typing import Sequence
 
 from .errors import ShapeError
-from .structure import Region, _histograms_match, _sized_indices
+from .structure import Region, _histograms_match, _sized_plans
 from .tables import Grid, _split_rows
 
 
@@ -83,6 +83,6 @@ def balance_report(grid: Grid, regions: Sequence[Region]) -> dict[Region, bool]:
     n = grid.word_len
     unit = 2**n
     regions = list(regions)
-    index_tuples = _sized_indices(regions, grid.side, unit, f"2^{n} = {unit}")
+    getters, sizes = _sized_plans(regions, grid.side, unit, f"2^{n} = {unit}")
     counts = [comb(n, k) for k in range(n + 1)]
-    return dict(zip(regions, _histograms_match(_weights(grid), index_tuples, counts, unit)))
+    return dict(zip(regions, _histograms_match(_weights(grid), getters, sizes, counts, unit)))

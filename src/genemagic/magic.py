@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .encoding import Notation
 from .errors import ShapeError
 from .structure import (
     Region,
-    _flat,
+    _getter,
     _grid_lines,
+    _plan,
     _square_lines,
     _tally,
     half_columns,
@@ -75,27 +76,26 @@ class MagicReport:
 
 
 @functools.lru_cache(maxsize=64)
-def _block_layout(
+def _block_plan(
     side: int, rows: int, cols: int
-) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...]]:
-    """Positions of the aligned rows x cols blocks, and each block's row-major flat indices."""
+) -> tuple[tuple[tuple[int, int], ...], tuple[Callable, ...], tuple[Callable, ...]]:
+    """Positions of the aligned rows x cols blocks, a getter of each block's
+    cells, and, for square blocks, getters of every block's lines, block by block."""
     keys = tuple((bi, bj) for bi in range(side // rows) for bj in range(side // cols))
-    return keys, tuple(
+    index_tuples = [
         tuple((bi * rows + di) * side + bj * cols + dj for di in range(rows) for dj in range(cols))
         for bi, bj in keys
-    )
+    ]
+    lines = []
+    if rows == cols:
+        lines = [line for idx in index_tuples for line in _square_lines(idx, rows)]
+    return keys, tuple(map(_getter, index_tuples)), tuple(map(_getter, lines))
 
 
 @functools.lru_cache(maxsize=64)
-def _block_lines(side: int, k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """The lines of every aligned k x k block, block by block."""
-    return tuple(tuple(_square_lines(idx, k)) for idx in _block_layout(side, k, k)[1])
-
-
-@functools.lru_cache(maxsize=64)
-def _half_lines(side: int) -> tuple[tuple[Region, ...], tuple[tuple[int, ...], ...]]:
+def _half_lines(side: int) -> tuple[tuple[Region, ...], tuple[Callable, ...]]:
     regions = tuple(half_rows(side) + half_columns(side) + half_diagonals())
-    return regions, tuple(_flat(region.kind, region.index, side) for region in regions)
+    return regions, tuple(_plan(region.kind, region.index, side)[0] for region in regions)
 
 
 def _constant(sums: Sequence[int]) -> int | None:
@@ -131,8 +131,8 @@ def analyze(grid: Grid, notation: Notation) -> MagicReport:
     }
     half_line_sums: dict[Region, int] = {}
     if side % 2 == 0 and side > 1:
-        regions, index_tuples = _half_lines(side)
-        half_line_sums = dict(zip(regions, _tally(values, index_tuples)))
+        regions, getters = _half_lines(side)
+        half_line_sums = dict(zip(regions, _tally(values, getters)))
 
     return MagicReport(
         grid_name=grid.name,
@@ -165,13 +165,12 @@ def _block_sums(
 ) -> dict[tuple[int, int], BlockSums]:
     """Sums and square sums of the aligned rows x cols blocks, with each
     square block's own magic verdict when ``magic_check`` is set."""
-    keys, index_tuples = _block_layout(side, rows, cols)
-    totals, square_totals = _tally(values, index_tuples), _tally(squares, index_tuples)
+    keys, getters, line_getters = _block_plan(side, rows, cols)
+    totals, square_totals = _tally(values, getters), _tally(squares, getters)
     verdicts = [None] * len(keys)
     if magic_check:
-        verdicts = [
-            _constant(_tally(values, lines)) is not None for lines in _block_lines(side, rows)
-        ]
+        sums, per = _tally(values, line_getters), 2 * rows + 2
+        verdicts = [_constant(sums[i:i + per]) is not None for i in range(0, len(sums), per)]
     return {
         key: BlockSums(total, square_total, verdict)
         for key, total, square_total, verdict in zip(keys, totals, square_totals, verdicts)

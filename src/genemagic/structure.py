@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from operator import itemgetter
+from typing import Callable, NamedTuple, Sequence
 
 from .encoding import LETTERS, xor_reduce
 from .errors import ShapeError
@@ -60,6 +61,15 @@ class Region:
 # run in C, rather than on the Region objects themselves.
 @functools.lru_cache(maxsize=4096)
 def _cells(kind: str, idx: tuple[int, ...], side: int) -> tuple[tuple[int, int], ...]:
+    cells = _positions(kind, idx, side)
+    if not all(0 <= i < side and 0 <= j < side for i, j in cells):
+        label = Region(kind, idx).label
+        raise ShapeError(f"region {label!r} lies outside a grid of side {side}")
+    return cells
+
+
+def _positions(kind: str, idx: tuple[int, ...], side: int) -> tuple[tuple[int, int], ...]:
+    """The positions a region names, which may fall outside the grid."""
     if kind not in _ARITY:
         raise ShapeError(f"unknown region kind {kind!r}")
     if len(idx) != _ARITY[kind]:
@@ -96,14 +106,22 @@ def _cells(kind: str, idx: tuple[int, ...], side: int) -> tuple[tuple[int, int],
     return tuple((i, side - 1 - i) for i in span)
 
 
+def _getter(idx: Sequence[int]) -> Callable[[Sequence], Sequence]:
+    """Fetch the cells at flat indices ``idx``, always as a sequence.
+
+    ``itemgetter(k)`` alone returns the bare item, so a region of one cell
+    (or none) takes a slice instead.
+    """
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    return itemgetter(slice(idx[0], idx[0] + 1) if idx else slice(0))
+
+
 @functools.lru_cache(maxsize=4096)
-def _flat(kind: str, idx: tuple[int, ...], side: int) -> tuple[int, ...]:
-    """Row-major flat indices of a region's cells in a grid of that side."""
-    cells = _cells(kind, idx, side)
-    if not all(0 <= i < side and 0 <= j < side for i, j in cells):
-        label = Region(kind, idx).label
-        raise ShapeError(f"region {label!r} lies outside a grid of side {side}")
-    return tuple(i * side + j for i, j in cells)
+def _plan(kind: str, idx: tuple[int, ...], side: int) -> tuple[Callable, int]:
+    """A region's cell getter over row-major values, and its size."""
+    flat = tuple(i * side + j for i, j in _cells(kind, idx, side))
+    return _getter(flat), len(flat)
 
 
 def _square_lines(idx: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
@@ -117,47 +135,50 @@ def _square_lines(idx: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
 
 
 @functools.lru_cache(maxsize=64)
-def _grid_lines(side: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(_square_lines(tuple(range(side * side)), side))
+def _grid_lines(side: int) -> tuple[Callable, ...]:
+    """Getters of the rows, columns, main and anti diagonal of a grid."""
+    return tuple(map(_getter, _square_lines(tuple(range(side * side)), side)))
 
 
-def _sized_indices(
+def _sized_plans(
     regions: Sequence[Region], side: int, unit: int, unit_name: str
-) -> list[tuple[int, ...]]:
-    """Flat indices of each region, which must hold a multiple of ``unit`` cells."""
-    index_tuples = []
+) -> tuple[list[Callable], list[int]]:
+    """Getters and sizes of the regions, each of which must hold a multiple of ``unit`` cells."""
+    getters, sizes = [], []
     for region in regions:
-        idx = _flat(region.kind, region.index, side)
-        if len(idx) % unit:
+        get, size = _plan(region.kind, region.index, side)
+        if size % unit:
             raise ShapeError(
-                f"region {region.label!r} has size {len(idx)}, not a multiple of {unit_name}"
+                f"region {region.label!r} has size {size}, not a multiple of {unit_name}"
             )
-        index_tuples.append(idx)
-    return index_tuples
+        getters.append(get)
+        sizes.append(size)
+    return getters, sizes
 
 
-def _tally(values: Sequence[int], index_tuples: Sequence[Sequence[int]]) -> list[int]:
-    """The sum of ``values`` over each tuple of flat indices: every region check's kernel."""
-    return [sum([values[k] for k in idx]) for idx in index_tuples]
+def _tally(values: Sequence[int], getters: Sequence[Callable]) -> list[int]:
+    """The sum of ``values`` over each region getter: every region check's kernel."""
+    return [sum(get(values)) for get in getters]
 
 
 def _histograms_match(
     symbols: Sequence[int],
-    index_tuples: Sequence[Sequence[int]],
+    getters: Sequence[Callable],
+    sizes: Sequence[int],
     counts: Sequence[int],
     unit: int,
 ) -> list[bool]:
-    """Per index tuple of length m, whether each symbol s occurs counts[s] * m / unit times.
+    """Per region of size m, whether each symbol s occurs counts[s] * m / unit times.
 
     A cell holding symbol s adds base**s, with base above any region's
     size, so a region's integer sum carries its symbol counts as base-``base``
     digits and one comparison checks them all.
     """
-    base = max(map(len, index_tuples), default=0) + 1
+    base = max(sizes, default=0) + 1
     powers = [base**s for s in range(len(counts))]
     target = sum(c * p for c, p in zip(counts, powers))
-    sums = _tally([powers[s] for s in symbols], index_tuples)
-    return [total == target * (len(idx) // unit) for total, idx in zip(sums, index_tuples)]
+    sums = _tally([powers[s] for s in symbols], getters)
+    return [total == target * (size // unit) for total, size in zip(sums, sizes)]
 
 
 def rows(side: int) -> list[Region]:
@@ -197,13 +218,18 @@ def standard_regions(side: int) -> list[Region]:
     Half lines join the set only when they can hold whole letter groups,
     i.e. when half a side is a multiple of 4.
     """
+    return list(_standard_regions(side))
+
+
+@functools.lru_cache(maxsize=64)
+def _standard_regions(side: int) -> tuple[Region, ...]:
     regions = rows(side) + columns(side) + diagonals()
     for k in (2, 4):
         if k < side and side % k == 0:
             regions += blocks(side, k)
     if side % 8 == 0:
         regions += half_rows(side) + half_columns(side) + half_diagonals()
-    return regions
+    return tuple(regions)
 
 
 def place_letters(grid: Grid, place: int) -> tuple[tuple[str, ...], ...]:
@@ -227,10 +253,10 @@ def place_permutation_report(
     if not 1 <= place <= grid.word_len:
         raise ShapeError(f"place {place} out of range 1..{grid.word_len}")
     regions = list(regions)
-    index_tuples = _sized_indices(regions, grid.side, 4, "4")
+    getters, sizes = _sized_plans(regions, grid.side, 4, "4")
     letters = "".join(grid.words())[place - 1::grid.word_len]
     symbols = [_LETTER_CODES[c] for c in letters]
-    return dict(zip(regions, _histograms_match(symbols, index_tuples, (1, 1, 1, 1), 4)))
+    return dict(zip(regions, _histograms_match(symbols, getters, sizes, (1, 1, 1, 1), 4)))
 
 
 class LatinVerdict(NamedTuple):

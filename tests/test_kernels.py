@@ -347,6 +347,19 @@ def test_kernels_match_reference_on_canonical_images(table_id):
         assert_matches_reference(grid)
 
 
+@pytest.mark.parametrize("table_id, block", [("R8A", (1, 0)), ("R16", (0, 0)), ("R16", (2, 3))])
+def test_kernels_match_reference_with_one_4x4_block_broken(table_id, block):
+    # swapping two cells of one block breaks its own magic square and no
+    # other block's, so each block's verdict must come from its own lines
+    cells = [list(row) for row in load_canonical(table_id).cells]
+    i, j = block[0] * 4, block[1] * 4
+    cells[i][j], cells[i + 1][j + 2] = cells[i + 1][j + 2], cells[i][j]
+    grid = Grid(tuple(map(tuple, cells)))
+    verdicts = [sums.magic_subsquare for sums in block_report(grid, Notation.DEC, 4).values()]
+    assert verdicts.count(False) == 1
+    assert_matches_reference(grid)
+
+
 @st.composite
 def random_grids(draw):
     n = draw(st.integers(1, 4))
@@ -358,9 +371,9 @@ def random_grids(draw):
 
 
 @st.composite
-def orbit_grids(draw):
+def orbit_grids(draw, table_ids=("R4", "R8A", "R8B", "R16")):
     """A complete table under a letter relabelling, a place permutation and a dihedral map."""
-    grid = load_canonical(draw(st.sampled_from(["R4", "R8A", "R8B", "R16"])))
+    grid = load_canonical(draw(st.sampled_from(table_ids)))
     relabel = str.maketrans(LETTERS, "".join(draw(st.permutations(LETTERS))))
     places = draw(st.permutations(range(grid.word_len)))
     cells = tuple(
@@ -395,6 +408,55 @@ def test_kernels_match_reference_on_orbit_grids(grid):
 def test_order_index_matches_reference_on_any_probabilities(values):
     prob = ProbabilityGrid(tuple(tuple(row) for row in values), Notation.DEC, 1)
     assert order_index(prob) == ref_order_index(prob)
+
+
+def float_bits(report):
+    """Every float of an entropy report as its hex form, which tells -0.0 from 0.0."""
+    return tuple(
+        tuple(x.hex() for x in group)
+        for group in (*report.terms, report.row_sums, report.col_sums, report.diag_sums)
+    )
+
+
+def ref_entropy_term(p):
+    return 0.0 if p == 0 else -float(p) * math.log10(float(p))
+
+
+@examples(60)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda side: st.lists(
+            st.lists(st.fractions(0, 1), min_size=side, max_size=side),
+            min_size=side,
+            max_size=side,
+        )
+    )
+)
+def test_shannon_report_matches_reference_bit_for_bit_on_any_probabilities(values):
+    prob = ProbabilityGrid(tuple(tuple(row) for row in values), Notation.DEC, 1)
+    for row in prob.values:
+        for p in row:
+            assert entropy_term(p).hex() == ref_entropy_term(p).hex()
+    assert float_bits(shannon_report(prob)) == float_bits(ref_shannon_report(prob))
+
+
+@pytest.mark.parametrize("table_id", ["R4", "R8A", "R8B", "R16", "M2"])
+def test_normalize_equals_the_hand_built_grid_of_the_same_fractions(table_id):
+    grid = load_canonical(table_id)
+    for notation in Notation:
+        prob = outcome(normalize, grid, notation)
+        if not isinstance(prob, ProbabilityGrid):
+            continue
+        by_hand = ProbabilityGrid(
+            tuple(tuple(Fraction(p) for p in row) for row in prob.values),
+            notation,
+            prob.line_sum,
+            grid.name,
+        )
+        assert prob == by_hand and repr(prob) == repr(by_hand)
+        assert float_bits(shannon_report(prob)) == float_bits(shannon_report(by_hand))
+        assert float_bits(shannon_report(prob)) == float_bits(ref_shannon_report(prob))
+        assert order_index(prob) == order_index(by_hand) == ref_order_index(prob)
 
 
 def test_analyze_and_normalize_encode_each_grid_once_per_notation(monkeypatch):
@@ -451,13 +513,12 @@ def test_any_region_is_checked_or_rejected_with_a_genemagic_error(kind, index, t
         lambda: balance_report(grid, [region]),
     ):
         try:
-            result = call()
+            call()
         except GenemagicError:
             continue
-        if isinstance(result, dict):
-            # a region that a report accepts covers cells, all inside the grid
-            cells = region.cells(grid.side)
-            assert cells and all(0 <= i < grid.side and 0 <= j < grid.side for i, j in cells)
+        # any region that is not rejected covers cells, all inside the grid
+        cells = region.cells(grid.side)
+        assert cells and all(0 <= i < grid.side and 0 <= j < grid.side for i, j in cells)
 
 
 def grid_like_texts():
@@ -479,3 +540,63 @@ def test_parse_grid_rejects_any_text_with_a_genemagic_error(text):
         parse_grid(text)
     except GenemagicError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# Laws of the maths on generated orbit grids.
+# ---------------------------------------------------------------------------
+
+@examples(20)
+@given(orbit_grids())
+def test_normalized_rows_and_columns_sum_to_exactly_one(grid):
+    side = grid.side
+    for notation in Notation:
+        report = analyze(grid, notation)
+        if len(set(report.s1_rows + report.s1_cols)) > 1:
+            with pytest.raises(PreconditionError):
+                normalize(grid, notation)
+            continue
+        prob = normalize(grid, notation)
+        assert all(sum(row) == 1 for row in prob.values)
+        assert all(sum(prob.values[i][j] for i in range(side)) == 1 for j in range(side))
+
+
+@examples(10)
+@given(orbit_grids(["R16"]))
+def test_order_index_is_s2_over_s1_squared_on_bimagic_orbit_grids(grid):
+    for notation in Notation:
+        report = analyze(grid, notation)
+        assert report.bimagic
+        index = order_index(normalize(grid, notation))
+        assert set(index.rows) == set(index.cols) == {Fraction(report.s2, report.s1**2)}
+
+
+def orbit_facts(grid):
+    """Verdicts and region counts that every dihedral map of the square keeps."""
+    verdicts = []
+    for notation in Notation:
+        report = analyze(grid, notation)
+        magic_blocks = sum(
+            sums.magic_subsquare for sums in report.block_sums.get(4, {}).values()
+        )
+        # a report's S1 and S2 (so its divisibility facts) fall back to the
+        # rows or the columns alone when the grid is not magic or bimagic,
+        # and a transpose swaps those
+        s1 = report.s1 if report.magic else None
+        s2 = (report.s2, report.divisibility) if report.bimagic else None
+        half_sums = sorted(report.half_line_sums.values())
+        verdicts.append((report.magic, report.bimagic, s1, s2, magic_blocks, half_sums))
+    regions = standard_regions(grid.side)
+    uniform = [
+        sum(place_permutation_report(grid, place, regions).values())
+        for place in range(1, grid.word_len + 1)
+    ]
+    return verdicts, uniform, sum(balance_report(grid, balance_regions(grid)).values())
+
+
+@examples(12)
+@given(orbit_grids())
+def test_dihedral_maps_keep_every_verdict_and_region_count(grid):
+    facts = orbit_facts(grid)
+    for d in range(1, 8):
+        assert orbit_facts(Grid(dihedral(grid.cells, d))) == facts

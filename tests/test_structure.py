@@ -16,7 +16,15 @@ from genemagic import (
     xor_letter_grid,
 )
 from genemagic.errors import ShapeError
-from genemagic.structure import blocks, columns, diagonals, half_rows, rows
+from genemagic.structure import (
+    blocks,
+    columns,
+    diagonals,
+    half_columns,
+    half_diagonals,
+    half_rows,
+    rows,
+)
 
 R4 = load_canonical("R4")
 M2 = load_canonical("M2")
@@ -175,6 +183,30 @@ def test_region_errors():
         Region("bogus").cells(4)
     with pytest.raises(ShapeError):
         blocks(8, 3)
+
+
+@pytest.mark.parametrize(
+    "region, side, label",
+    [
+        (Region("row", (20,)), 4, "row 21"),
+        (Region("column", (-1,)), 4, "column 0"),
+        (Region("block", (2, 2, 0)), 4, "block 2x2 (3,1)"),
+        (Region("half_row", (8, 1)), 8, "half row 9 (right)"),
+    ],
+)
+def test_region_cells_outside_the_grid_are_a_shape_error(region, side, label):
+    message = f"region {label!r} lies outside a grid of side {side}"
+    with pytest.raises(ShapeError, match=re.escape(message)):
+        region.cells(side)
+
+
+def test_standard_regions_is_a_fresh_list_of_the_same_regions():
+    first = standard_regions(8)
+    first.clear()
+    assert standard_regions(8) == (
+        rows(8) + columns(8) + diagonals() + blocks(8, 2) + blocks(8, 4)
+        + half_rows(8) + half_columns(8) + half_diagonals()
+    )
 
 
 def test_standard_regions_sizes():
