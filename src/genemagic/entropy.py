@@ -2,9 +2,10 @@
 
 Probabilities are exact rationals cell/S1, so every row of a magic grid
 sums to exactly 1.  Entropy terms use base-10 logarithms, -p * log10(p),
-with the 0 * log 0 = 0 convention.  Each p is taken from the exact
-integers v / S1 by integer true division, which is correctly rounded, so
-it is the float nearest the exact rational, never a rounded decimal display.
+with the 0 * log 0 = 0 convention.  Each p is taken from exact integers
+n / d over a common denominator by integer true division, which is
+correctly rounded, so it is the float nearest the exact rational, never a
+rounded decimal display.
 
 The order index of a probability line is sum(p**2), kept as an exact
 rational.  For a bimagic grid it equals S2 / S1**2 on every line.
@@ -18,7 +19,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .encoding import Notation
-from .errors import PreconditionError
+from .errors import PreconditionError, ShapeError
 from .structure import _grid_lines, _tally
 from .tables import Grid, _split_rows
 
@@ -27,25 +28,28 @@ from .tables import Grid, _split_rows
 class ProbabilityGrid:
     """Exact cell/S1 probabilities of a grid magic under some notation.
 
-    ``scaled`` holds the same probabilities as integers over one common
-    denominator, (row-major numerators, denominator): the cell values over
-    S1 from ``normalize``, or derived from ``values`` when not given, so
-    pass it only together with the values it describes.  It is not
-    compared or shown, so equality and repr see only the fractions.
+    ``scaled`` is derived from ``values`` when the grid is built: the same
+    probabilities as integers over one common denominator, (row-major
+    numerators, denominator).  It is not compared or shown, so equality
+    and repr see only the fractions.
     """
 
     values: tuple[tuple[Fraction, ...], ...]
     notation: Notation
     line_sum: int
     source: str | None = None
-    scaled: tuple[tuple[int, ...], int] | None = field(default=None, compare=False, repr=False)
+    scaled: tuple[tuple[int, ...], int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.scaled is None:
-            flat = [v for row in self.values for v in row]
-            d = math.lcm(*(v.denominator for v in flat))
-            scaled = tuple(v.numerator * (d // v.denominator) for v in flat), d
-            object.__setattr__(self, "scaled", scaled)
+        side = len(self.values)
+        for i, row in enumerate(self.values):
+            if len(row) != side:
+                raise ShapeError(
+                    f"probability row {i + 1} has {len(row)} values, expected {side}"
+                )
+        ratios = [v.as_integer_ratio() for row in self.values for v in row]
+        d = math.lcm(*(q for _, q in ratios))
+        object.__setattr__(self, "scaled", (tuple(n * (d // q) for n, q in ratios), d))
 
     @property
     def side(self) -> int:
@@ -77,15 +81,14 @@ def normalize(grid: Grid, notation: Notation) -> ProbabilityGrid:
     if target == 0:
         raise PreconditionError("magic sum is zero; cannot normalize")
     probabilities = _split_rows([Fraction(v, target) for v in values], side)
-    return ProbabilityGrid(probabilities, notation, target, grid.name, (values, target))
+    return ProbabilityGrid(probabilities, notation, target, grid.name)
 
 
 def entropy_term(p: Fraction) -> float:
     """-p * log10(p), with 0 mapping to 0."""
     if p == 0:
         return 0.0
-    x = p.numerator / p.denominator
-    return -x * math.log10(x)
+    return -float(p) * math.log10(float(p))
 
 
 @dataclass(frozen=True)

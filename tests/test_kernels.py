@@ -8,6 +8,7 @@ canonical tables, their complements and dihedral images, and generated
 grids.
 """
 
+import dataclasses
 import math
 from collections import Counter
 from fractions import Fraction
@@ -457,6 +458,38 @@ def test_normalize_equals_the_hand_built_grid_of_the_same_fractions(table_id):
         assert float_bits(shannon_report(prob)) == float_bits(shannon_report(by_hand))
         assert float_bits(shannon_report(prob)) == float_bits(ref_shannon_report(prob))
         assert order_index(prob) == order_index(by_hand) == ref_order_index(prob)
+
+
+def test_replaced_probabilities_give_the_new_grids_entropy():
+    r16 = normalize(load_canonical("R16"), Notation.DEC)
+    for table_id in ("R4", "R8A"):
+        new = normalize(load_canonical(table_id), Notation.DEC)
+        replaced = dataclasses.replace(r16, values=new.values, line_sum=new.line_sum)
+        assert float_bits(shannon_report(replaced)) == float_bits(shannon_report(new))
+        assert float_bits(shannon_report(replaced)) == float_bits(ref_shannon_report(new))
+        assert order_index(replaced) == order_index(new) == ref_order_index(new)
+    with pytest.raises(TypeError):
+        ProbabilityGrid(r16.values, Notation.DEC, r16.line_sum, scaled=((1,), 1))
+
+
+def test_float_probabilities_give_the_reference_entropy():
+    values = ((0.1, 0.2, 0.7), (0.7, 0.1, 0.2), (0.2, 0.7, 0.1))
+    prob = ProbabilityGrid(values, Notation.DEC, 1)
+    assert float_bits(shannon_report(prob)) == float_bits(ref_shannon_report(prob))
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        ((Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)), (Fraction(1),)),
+        ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1),)),
+        ((Fraction(1),), (Fraction(1),)),
+        ((Fraction(1), Fraction(0)),),
+    ],
+)
+def test_ragged_probability_grid_is_rejected(values):
+    with pytest.raises(ShapeError, match="probability row"):
+        ProbabilityGrid(values, Notation.DEC, 1)
 
 
 def test_analyze_and_normalize_encode_each_grid_once_per_notation(monkeypatch):
