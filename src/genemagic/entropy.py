@@ -3,9 +3,10 @@
 Probabilities are exact rationals cell/S1, so every row of a magic grid
 sums to exactly 1.  Entropy terms use base-10 logarithms, -p * log10(p),
 with the 0 * log 0 = 0 convention.  Each p is taken from exact integers
-n / d over a common denominator by integer true division, which is
-correctly rounded, so it is the float nearest the exact rational, never a
-rounded decimal display.
+n / d over a common denominator (for a normalized grid, the cell values
+over S1 in lowest terms) by integer true division, which is correctly
+rounded, so it is the float nearest the exact rational, never a rounded
+decimal display.
 
 The order index of a probability line is sum(p**2), kept as an exact
 rational.  For a bimagic grid it equals S2 / S1**2 on every line.
@@ -88,7 +89,8 @@ def entropy_term(p: Fraction) -> float:
     """-p * log10(p), with 0 mapping to 0."""
     if p == 0:
         return 0.0
-    return -float(p) * math.log10(float(p))
+    x = float(p)
+    return -x * math.log10(x)
 
 
 @dataclass(frozen=True)
