@@ -12,7 +12,7 @@ from math import comb
 from typing import Sequence
 
 from .errors import ShapeError
-from .structure import Region, _histograms_match, _sized_plans
+from .structure import Region, _histogram_report
 from .tables import Grid, _split_rows
 
 
@@ -82,7 +82,5 @@ def balance_report(grid: Grid, regions: Sequence[Region]) -> dict[Region, bool]:
     """
     n = grid.word_len
     unit = 2**n
-    regions = list(regions)
-    getters, sizes = _sized_plans(regions, grid.side, unit, f"2^{n} = {unit}")
     counts = [comb(n, k) for k in range(n + 1)]
-    return dict(zip(regions, _histograms_match(_weights(grid), getters, sizes, counts, unit)))
+    return _histogram_report(regions, grid.side, _weights(grid), counts, unit, f"2^{n} = {unit}")

@@ -17,7 +17,7 @@ from .structure import (
     Region,
     _getter,
     _grid_lines,
-    _plan,
+    _plans,
     _square_lines,
     _tally,
     half_columns,
@@ -95,7 +95,7 @@ def _block_plan(
 @functools.lru_cache(maxsize=64)
 def _half_lines(side: int) -> tuple[tuple[Region, ...], tuple[Callable, ...]]:
     regions = tuple(half_rows(side) + half_columns(side) + half_diagonals())
-    return regions, tuple(_plan(region.kind, region.index, side)[0] for region in regions)
+    return regions, _plans(regions, side)[0]
 
 
 def _constant(sums: Sequence[int]) -> int | None:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
@@ -21,8 +20,7 @@ _ARITY = {"row": 1, "column": 1, "main_diagonal": 0, "anti_diagonal": 0, "block"
           **dict.fromkeys(HALF_NAMES, 2)}
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(NamedTuple):
     """A named group of cell positions inside an N x N grid.
 
     Kinds and their index parameters (all 0-based):
@@ -39,11 +37,12 @@ class Region:
 
     def cells(self, side: int) -> tuple[tuple[int, int], ...]:
         """The (row, col) positions this region covers in a grid of that side."""
-        return _cells(self.kind, self.index, side)
+        return _cells(self, side)
 
     @property
     def label(self) -> str:
         kind, idx = self.kind, self.index
+        _check_index(kind, idx)
         if kind in ("row", "column"):
             return f"{kind} {idx[0] + 1}"
         if kind in ("main_diagonal", "anti_diagonal"):
@@ -57,23 +56,32 @@ class Region:
         return f"half {kind.split('_')[1]} {idx[0] + 1} ({half})"
 
 
-# Region caches are keyed on (kind, index, side), whose hash and equality
-# run in C, rather than on the Region objects themselves.
+def _check_index(kind: str, idx: tuple[int, ...]) -> None:
+    """Reject an index that names no region in a grid of any side."""
+    if kind not in _ARITY:
+        raise ShapeError(f"{kind} region index {idx!r}: unknown region kind")
+    if len(idx) != _ARITY[kind]:
+        raise ShapeError(f"{kind} region index {idx!r} must have length {_ARITY[kind]}")
+    if kind == "block" and idx[0] < 1:
+        raise ShapeError(f"block region index {idx!r} has block size {idx[0]}, expected at least 1")
+    if kind in HALF_NAMES and (
+        idx[1] not in (0, 1) or (kind == "half_diagonal" and idx[0] not in (0, 1))
+    ):
+        raise ShapeError(f"{kind} region index {idx!r}: its selectors must be 0 or 1")
+
+
 @functools.lru_cache(maxsize=4096)
-def _cells(kind: str, idx: tuple[int, ...], side: int) -> tuple[tuple[int, int], ...]:
-    cells = _positions(kind, idx, side)
+def _cells(region: Region, side: int) -> tuple[tuple[int, int], ...]:
+    cells = _positions(region, side)
     if not all(0 <= i < side and 0 <= j < side for i, j in cells):
-        label = Region(kind, idx).label
-        raise ShapeError(f"region {label!r} lies outside a grid of side {side}")
+        raise ShapeError(f"region {region.label!r} lies outside a grid of side {side}")
     return cells
 
 
-def _positions(kind: str, idx: tuple[int, ...], side: int) -> tuple[tuple[int, int], ...]:
+def _positions(region: Region, side: int) -> tuple[tuple[int, int], ...]:
     """The positions a region names, which may fall outside the grid."""
-    if kind not in _ARITY:
-        raise ShapeError(f"unknown region kind {kind!r}")
-    if len(idx) != _ARITY[kind]:
-        raise ShapeError(f"{kind} region index {idx!r} must have length {_ARITY[kind]}")
+    kind, idx = region
+    _check_index(kind, idx)
     if kind == "row":
         return tuple((idx[0], j) for j in range(side))
     if kind == "column":
@@ -84,16 +92,12 @@ def _positions(kind: str, idx: tuple[int, ...], side: int) -> tuple[tuple[int, i
         return tuple((i, side - 1 - i) for i in range(side))
     if kind == "block":
         k, bi, bj = idx
-        if k < 1:
-            raise ShapeError(f"block region index {idx!r} has block size {k}, expected at least 1")
         if side % k:
             raise ShapeError(f"block size {k} does not divide side {side}")
         return tuple(
             (bi * k + di, bj * k + dj) for di in range(k) for dj in range(k)
         )
     which, half = idx
-    if half not in (0, 1) or (kind == "half_diagonal" and which not in (0, 1)):
-        raise ShapeError(f"{kind} region index {idx!r}: its selectors must be 0 or 1")
     if side % 2:
         raise ShapeError(f"half regions need an even side, got {side}")
     span = range(half * side // 2, (half + 1) * side // 2)
@@ -117,11 +121,11 @@ def _getter(idx: Sequence[int]) -> Callable[[Sequence], Sequence]:
     return itemgetter(slice(idx[0], idx[0] + 1) if idx else slice(0))
 
 
-@functools.lru_cache(maxsize=4096)
-def _plan(kind: str, idx: tuple[int, ...], side: int) -> tuple[Callable, int]:
-    """A region's cell getter over row-major values, and its size."""
-    flat = tuple(i * side + j for i, j in _cells(kind, idx, side))
-    return _getter(flat), len(flat)
+@functools.lru_cache(maxsize=256)
+def _plans(regions: tuple[Region, ...], side: int) -> tuple[tuple[Callable, ...], tuple[int, ...]]:
+    """Each region's cell getter over row-major values, and its size."""
+    flats = [tuple(i * side + j for i, j in _cells(region, side)) for region in regions]
+    return tuple(map(_getter, flats)), tuple(map(len, flats))
 
 
 def _square_lines(idx: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
@@ -140,45 +144,34 @@ def _grid_lines(side: int) -> tuple[Callable, ...]:
     return tuple(map(_getter, _square_lines(tuple(range(side * side)), side)))
 
 
-def _sized_plans(
-    regions: Sequence[Region], side: int, unit: int, unit_name: str
-) -> tuple[list[Callable], list[int]]:
-    """Getters and sizes of the regions, each of which must hold a multiple of ``unit`` cells."""
-    getters, sizes = [], []
-    for region in regions:
-        get, size = _plan(region.kind, region.index, side)
-        if size % unit:
-            raise ShapeError(
-                f"region {region.label!r} has size {size}, not a multiple of {unit_name}"
-            )
-        getters.append(get)
-        sizes.append(size)
-    return getters, sizes
-
-
 def _tally(values: Sequence[int], getters: Sequence[Callable]) -> list[int]:
     """The sum of ``values`` over each region getter: every region check's kernel."""
     return [sum(get(values)) for get in getters]
 
 
-def _histograms_match(
-    symbols: Sequence[int],
-    getters: Sequence[Callable],
-    sizes: Sequence[int],
-    counts: Sequence[int],
-    unit: int,
-) -> list[bool]:
+def _histogram_report(
+    regions: Sequence[Region], side: int, symbols: Sequence[int],
+    counts: Sequence[int], unit: int, unit_name: str,
+) -> dict[Region, bool]:
     """Per region of size m, whether each symbol s occurs counts[s] * m / unit times.
 
     A cell holding symbol s adds base**s, with base above any region's
     size, so a region's integer sum carries its symbol counts as base-``base``
     digits and one comparison checks them all.
     """
+    regions = tuple(regions)
+    getters, sizes = _plans(regions, side)
+    for region, size in zip(regions, sizes):
+        if size % unit:
+            raise ShapeError(
+                f"region {region.label!r} has size {size}, not a multiple of {unit_name}"
+            )
     base = max(sizes, default=0) + 1
     powers = [base**s for s in range(len(counts))]
     target = sum(c * p for c, p in zip(counts, powers))
     sums = _tally([powers[s] for s in symbols], getters)
-    return [total == target * (size // unit) for total, size in zip(sums, sizes)]
+    verdicts = [total == target * (size // unit) for total, size in zip(sums, sizes)]
+    return dict(zip(regions, verdicts))
 
 
 def rows(side: int) -> list[Region]:
@@ -252,11 +245,9 @@ def place_permutation_report(
     """
     if not 1 <= place <= grid.word_len:
         raise ShapeError(f"place {place} out of range 1..{grid.word_len}")
-    regions = list(regions)
-    getters, sizes = _sized_plans(regions, grid.side, 4, "4")
     letters = "".join(grid.words())[place - 1::grid.word_len]
     symbols = [_LETTER_CODES[c] for c in letters]
-    return dict(zip(regions, _histograms_match(symbols, getters, sizes, (1, 1, 1, 1), 4)))
+    return _histogram_report(regions, grid.side, symbols, (1, 1, 1, 1), 4, "4")
 
 
 class LatinVerdict(NamedTuple):

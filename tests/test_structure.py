@@ -232,6 +232,7 @@ def test_half_rows_cover_rows():
         ("half_row", (0, 2), "selectors must be 0 or 1"),
         ("half_column", (1, -1), "selectors"),
         ("half_diagonal", (5, 0), "selectors"),
+        ("bogus", (), "unknown region kind"),
     ],
 )
 def test_malformed_region_index_is_a_shape_error(kind, index, words):
@@ -240,7 +241,31 @@ def test_malformed_region_index_is_a_shape_error(kind, index, words):
     message = rf"{kind} region index {re.escape(repr(index))}.*{words}"
     with pytest.raises(ShapeError, match=message):
         region.cells(4)
+    with pytest.raises(ShapeError, match=message):
+        region.label
     with pytest.raises(ShapeError):
         place_permutation_report(R4, 1, [region])
     with pytest.raises(ShapeError):
         balance_report(R4, [region])
+
+
+def test_region_is_an_immutable_value():
+    region = Region("row", (0,))
+    assert repr(region) == "Region(kind='row', index=(0,))"
+    assert repr(Region("main_diagonal")) == "Region(kind='main_diagonal', index=())"
+    with pytest.raises(AttributeError):
+        region.kind = "column"
+    with pytest.raises(AttributeError):
+        region.extra = 1
+
+
+def test_reports_answer_lookups_by_separately_built_regions():
+    regions = standard_regions(16)
+    place = place_permutation_report(R16, 1, regions)
+    # balance needs regions of a multiple of 2^4 cells: lines and 4x4 blocks
+    balance = balance_report(R16, [r for r in regions if len(r.cells(16)) % 16 == 0])
+    expected = {Region("row", (0,)): True, blocks(16, 4)[5]: True, Region("main_diagonal"): False}
+    for key, balanced in expected.items():
+        assert not any(key is region for region in regions)
+        assert place[key] is True
+        assert balance[key] is balanced
