@@ -4,144 +4,96 @@ Reconstructs the canonical nucleotide-word tables, renders them under
 three numeral notations, and verifies their magic, bimagic, Latin,
 Hamming/binomial, entropy, and restriction-enzyme properties with exact
 integer and rational arithmetic.
-"""
 
-from .encoding import (
-    GENETIC_CODE,
-    MAX_WORD_LEN,
-    GrayPair,
-    Notation,
-    all_words,
-    bit_string,
-    complement,
-    digit_string,
-    encode,
-    gray_pair,
-    hamming_weight,
-    parse_word,
-    translate,
-    xor_reduce,
-)
-from .entropy import (
-    EntropyReport,
-    OrderIndex,
-    ProbabilityGrid,
-    entropy_term,
-    normalize,
-    order_index,
-    shannon_report,
-)
-from .enzymes import (
-    ANTIPARALLEL_PAIRS,
-    ENZYME_TABLE,
-    EnzymeRecord,
-    antiparallel_check,
-    block_locality_check,
-    classify,
-    orientation_sums,
-)
-from .errors import (
-    DataError,
-    DomainError,
-    GenemagicError,
-    ParseError,
-    PreconditionError,
-    RangeError,
-    ShapeError,
-)
-from .hamming import (
-    FrequencyTable,
-    WeightGrid,
-    balance_report,
-    frequency_distribution,
-    monomial,
-    weight_grid,
-)
-from .magic import (
-    BlockSums,
-    MagicReport,
-    NumericGrid,
-    analyze,
-    block_report,
-    divisibility_facts,
-    numeric_grid,
-    rect_block_report,
-)
-from .structure import (
-    LatinVerdict,
-    Region,
-    latin_square_check,
-    orthogonality_check,
-    place_letters,
-    place_permutation_report,
-    standard_regions,
-    xor_letter_grid,
-)
-from .tables import CANONICAL_IDS, Grid, load_canonical, parse_grid, serialize_grid
+The public names in ``__all__`` load on first use: reading one imports
+only the submodule that defines it, so ``genemagic list`` never imports
+the entropy or Hamming code.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ANTIPARALLEL_PAIRS",
-    "CANONICAL_IDS",
-    "ENZYME_TABLE",
-    "GENETIC_CODE",
-    "MAX_WORD_LEN",
-    "BlockSums",
-    "DataError",
-    "DomainError",
-    "EntropyReport",
-    "EnzymeRecord",
-    "FrequencyTable",
-    "GenemagicError",
-    "GrayPair",
-    "Grid",
-    "LatinVerdict",
-    "MagicReport",
-    "Notation",
-    "NumericGrid",
-    "OrderIndex",
-    "ParseError",
-    "PreconditionError",
-    "ProbabilityGrid",
-    "RangeError",
-    "Region",
-    "ShapeError",
-    "WeightGrid",
-    "all_words",
-    "analyze",
-    "antiparallel_check",
-    "balance_report",
-    "bit_string",
-    "block_locality_check",
-    "block_report",
-    "classify",
-    "complement",
-    "digit_string",
-    "divisibility_facts",
-    "encode",
-    "entropy_term",
-    "frequency_distribution",
-    "gray_pair",
-    "hamming_weight",
-    "latin_square_check",
-    "load_canonical",
-    "monomial",
-    "normalize",
-    "numeric_grid",
-    "order_index",
-    "orientation_sums",
-    "orthogonality_check",
-    "parse_grid",
-    "parse_word",
-    "place_letters",
-    "place_permutation_report",
-    "rect_block_report",
-    "serialize_grid",
-    "shannon_report",
-    "standard_regions",
-    "translate",
-    "weight_grid",
-    "xor_letter_grid",
-    "xor_reduce",
-]
+#: Each public name and the submodule that defines it, in ``__all__`` order.
+_SOURCES = {
+    "ANTIPARALLEL_PAIRS": "enzymes",
+    "CANONICAL_IDS": "tables",
+    "ENZYME_TABLE": "enzymes",
+    "GENETIC_CODE": "encoding",
+    "MAX_WORD_LEN": "encoding",
+    "BlockSums": "magic",
+    "DataError": "errors",
+    "DomainError": "errors",
+    "EntropyReport": "entropy",
+    "EnzymeRecord": "enzymes",
+    "FrequencyTable": "hamming",
+    "GenemagicError": "errors",
+    "GrayPair": "encoding",
+    "Grid": "tables",
+    "LatinVerdict": "structure",
+    "MagicReport": "magic",
+    "Notation": "encoding",
+    "NumericGrid": "magic",
+    "OrderIndex": "entropy",
+    "ParseError": "errors",
+    "PreconditionError": "errors",
+    "ProbabilityGrid": "entropy",
+    "RangeError": "errors",
+    "Region": "structure",
+    "ShapeError": "errors",
+    "WeightGrid": "hamming",
+    "all_words": "encoding",
+    "analyze": "magic",
+    "antiparallel_check": "enzymes",
+    "balance_report": "hamming",
+    "bit_string": "encoding",
+    "block_locality_check": "enzymes",
+    "block_report": "magic",
+    "classify": "enzymes",
+    "complement": "encoding",
+    "digit_string": "encoding",
+    "divisibility_facts": "magic",
+    "encode": "encoding",
+    "entropy_term": "entropy",
+    "frequency_distribution": "hamming",
+    "gray_pair": "encoding",
+    "hamming_weight": "encoding",
+    "latin_square_check": "structure",
+    "load_canonical": "tables",
+    "monomial": "hamming",
+    "normalize": "entropy",
+    "numeric_grid": "magic",
+    "order_index": "entropy",
+    "orientation_sums": "enzymes",
+    "orthogonality_check": "structure",
+    "parse_grid": "tables",
+    "parse_word": "encoding",
+    "place_letters": "structure",
+    "place_permutation_report": "structure",
+    "rect_block_report": "magic",
+    "serialize_grid": "tables",
+    "shannon_report": "entropy",
+    "standard_regions": "structure",
+    "translate": "encoding",
+    "weight_grid": "hamming",
+    "xor_letter_grid": "structure",
+    "xor_reduce": "encoding",
+}
+
+__all__ = list(_SOURCES)
+
+
+def __getattr__(name: str):
+    """Import the submodule behind a public name, and keep the name here for the next read."""
+    source = _SOURCES.get(name)
+    if source is None and name not in _SOURCES.values():
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # __import__, unlike importlib.import_module, shows the submodule on its
+    # own line under -X importtime; a non-empty fromlist returns the submodule
+    module = __import__(f"{__name__}.{source or name}", fromlist=["*"])
+    if source is None:
+        return module
+    value = globals()[name] = getattr(module, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

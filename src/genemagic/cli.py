@@ -10,21 +10,18 @@ verdict, 2 on usage errors, unknown tables, or malformed input.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import os
 import sys
-from fractions import Fraction
 
-from . import encoding, entropy, enzymes, hamming, magic, structure, tables
+from . import encoding, tables
 from .encoding import Notation
 from .errors import GenemagicError, ParseError
 
 FORMATS = ("text", "csv", "json", "md")
 
-#: Orientation groups in a fixed output order.
-_GROUPS = (enzymes.SAME, enzymes.OPPOSITE)
+#: Orientation groups in a fixed output order: ``enzymes.SAME`` and ``enzymes.OPPOSITE``.
+_GROUPS = ("same", "opposite")
 
 
 def _precision(side: int, five_from: int) -> int:
@@ -62,12 +59,14 @@ def _resolve_grid(args: argparse.Namespace) -> tables.Grid:
 def _emit(fmt: str, payload, view) -> None:
     """Write ``payload`` as JSON, or as ``view(payload, fmt)`` for csv, md and text."""
     if fmt == "json":
+        import json
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
         sys.stdout.write(view(payload, fmt))
 
 
 def _csv(rows: list[list]) -> str:
+    import csv
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerows(rows)
@@ -137,6 +136,7 @@ def _list_view(payload: list[dict], fmt: str) -> str:
 # --------------------------------------------------------------------------
 
 def cmd_show(args: argparse.Namespace) -> int:
+    from . import magic
     grid = _resolve_grid(args)
     notation = Notation(args.notation) if args.notation else None
     if notation is None:
@@ -181,6 +181,7 @@ def _region_entries(report: magic.MagicReport) -> list[dict]:
 
 
 def _half_line_entries(report: magic.MagicReport) -> list[dict]:
+    from . import structure
     entries = []
     for region, total in report.half_line_sums.items():
         which, half = region.index
@@ -230,6 +231,7 @@ def verify_payload(report: magic.MagicReport) -> dict:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import magic
     grid = _resolve_grid(args)
     report = magic.analyze(grid, Notation(args.notation))
     _emit(args.format, verify_payload(report), _verify_view)
@@ -303,6 +305,7 @@ def _verify_view(payload: dict, fmt: str) -> str:
 # --------------------------------------------------------------------------
 
 def cmd_entropy(args: argparse.Namespace) -> int:
+    from . import entropy
     grid = _resolve_grid(args)
     notation = Notation(args.notation)
     prob = entropy.normalize(grid, notation)
@@ -395,6 +398,7 @@ def _entropy_view(payload: dict, fmt: str) -> str:
 # --------------------------------------------------------------------------
 
 def _balance_regions(grid: tables.Grid) -> list[structure.Region]:
+    from . import structure
     unit = 2**grid.word_len
     regions: list[structure.Region] = []
     if grid.side % unit == 0:
@@ -407,6 +411,7 @@ def _balance_regions(grid: tables.Grid) -> list[structure.Region]:
 
 
 def cmd_hamming(args: argparse.Namespace) -> int:
+    from . import hamming
     grid = _resolve_grid(args)
     wg = hamming.weight_grid(grid)
     freq = hamming.frequency_distribution(grid)
@@ -471,6 +476,7 @@ def _hamming_view(payload: dict, fmt: str, words) -> str:
 # --------------------------------------------------------------------------
 
 def _structure_payload(grid: tables.Grid, places: list[int]) -> dict:
+    from . import structure
     side = grid.side
     regions = structure.standard_regions(side) if side % 4 == 0 else []
     projections = {place: structure.place_letters(grid, place) for place in places}
@@ -578,6 +584,7 @@ def _structure_view(payload: dict, fmt: str) -> str:
 # --------------------------------------------------------------------------
 
 def cmd_enzymes(args: argparse.Namespace) -> int:
+    from . import enzymes
     sums = {nt.value: enzymes.orientation_sums(nt) for nt in Notation}
     payload = {
         "records": [

@@ -15,7 +15,6 @@ rational.  For a bimagic grid it equals S2 / S1**2 on every line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -25,32 +24,65 @@ from .structure import _grid_lines, _tally
 from .tables import Grid, _split_rows
 
 
-@dataclass(frozen=True)
 class ProbabilityGrid:
     """Exact cell/S1 probabilities of a grid magic under some notation.
 
     ``scaled`` is derived from ``values`` when the grid is built: the same
     probabilities as integers over one common denominator, (row-major
-    numerators, denominator).  It is not compared or shown, so equality
-    and repr see only the fractions.
+    numerators, denominator).  It is not compared or shown, so equality,
+    hashing and repr see only the fractions, the notation, the line sum
+    and the source.  A probability grid is immutable.
     """
 
-    values: tuple[tuple[Fraction, ...], ...]
-    notation: Notation
-    line_sum: int
-    source: str | None = None
-    scaled: tuple[tuple[int, ...], int] = field(init=False, compare=False, repr=False)
+    __slots__ = ("values", "notation", "line_sum", "source", "scaled")
 
-    def __post_init__(self) -> None:
-        side = len(self.values)
-        for i, row in enumerate(self.values):
+    def __init__(
+        self,
+        values: tuple[tuple[Fraction, ...], ...],
+        notation: Notation,
+        line_sum: int,
+        source: str | None = None,
+    ) -> None:
+        side = len(values)
+        for i, row in enumerate(values):
             if len(row) != side:
                 raise ShapeError(
                     f"probability row {i + 1} has {len(row)} values, expected {side}"
                 )
-        ratios = [v.as_integer_ratio() for row in self.values for v in row]
+        ratios = [v.as_integer_ratio() for row in values for v in row]
         d = math.lcm(*(q for _, q in ratios))
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "notation", notation)
+        object.__setattr__(self, "line_sum", line_sum)
+        object.__setattr__(self, "source", source)
         object.__setattr__(self, "scaled", (tuple(n * (d // q) for n, q in ratios), d))
+
+    def _key(self) -> tuple:
+        return self.values, self.notation, self.line_sum, self.source
+
+    def __repr__(self) -> str:
+        return (
+            f"ProbabilityGrid(values={self.values!r}, notation={self.notation!r}, "
+            f"line_sum={self.line_sum!r}, source={self.source!r})"
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # rebuilt through the constructor, which derives ``scaled`` again
+        return ProbabilityGrid, self._key()
 
     @property
     def side(self) -> int:
@@ -93,8 +125,7 @@ def entropy_term(p: Fraction) -> float:
     return -x * math.log10(x)
 
 
-@dataclass(frozen=True)
-class EntropyReport:
+class EntropyReport(NamedTuple):
     """Per-cell entropy terms with row, column, and diagonal sums."""
 
     terms: tuple[tuple[float, ...], ...]

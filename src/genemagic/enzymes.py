@@ -9,7 +9,7 @@ pairs with its right rotation in the opposite group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .encoding import Notation, encode, parse_word
 from .errors import DataError, DomainError, ShapeError
@@ -20,8 +20,7 @@ OPPOSITE = "opposite"
 UNLISTED = "unlisted"
 
 
-@dataclass(frozen=True)
-class EnzymeRecord:
+class EnzymeRecord(NamedTuple):
     tetramer: str
     orientation: str
     enzyme_count: int

@@ -7,9 +7,8 @@ binomial pattern: exactly C(n, k) * 2**n words have weight k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ShapeError
 from .structure import Region, _histogram_report
@@ -29,8 +28,7 @@ def monomial(weight: int, word_len: int) -> str:
     return "".join(parts)
 
 
-@dataclass(frozen=True)
-class WeightGrid:
+class WeightGrid(NamedTuple):
     weights: tuple[tuple[int, ...], ...]
     monomials: tuple[tuple[str, ...], ...]
     word_len: int
@@ -52,8 +50,7 @@ def _weights(grid: Grid) -> list[int]:
     return [word.count("A") + word.count("T") for word in grid.words()]
 
 
-@dataclass(frozen=True)
-class FrequencyTable:
+class FrequencyTable(NamedTuple):
     word_len: int
     counts: tuple[int, ...]
     binomial: tuple[int, ...]

@@ -8,8 +8,7 @@ int range and is asserted exactly by the test suite.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .encoding import Notation
 from .errors import ShapeError
@@ -30,8 +29,7 @@ from .tables import Grid, _split_rows
 DIVISOR = 37
 
 
-@dataclass(frozen=True)
-class NumericGrid:
+class NumericGrid(NamedTuple):
     """A grid rendered to exact integers under one notation."""
 
     values: tuple[tuple[int, ...], ...]
@@ -47,15 +45,13 @@ def numeric_grid(grid: Grid, notation: Notation) -> NumericGrid:
     return NumericGrid(_split_rows(grid.flat_values(notation), grid.side), notation, grid.name)
 
 
-@dataclass(frozen=True)
-class BlockSums:
+class BlockSums(NamedTuple):
     total: int
     square_total: int
     magic_subsquare: bool | None = None
 
 
-@dataclass(frozen=True)
-class MagicReport:
+class MagicReport(NamedTuple):
     grid_name: str | None
     notation: Notation
     side: int

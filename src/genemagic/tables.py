@@ -13,28 +13,28 @@ by its base-10 numeral in the same layout.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .encoding import LETTERS, Notation, _check_length, _encode_words
 from .errors import DataError, ParseError, ShapeError
 
 
-@dataclass(frozen=True)
 class Grid:
     """A square array of same-length words.
 
     Every cell is checked when the grid is built: cells are upper-case
     C, A, T and G only, the grid-file rule (lower case and U, which the
     single-word functions accept, are rejected here).  Numeral values are
-    computed at most once per notation and kept with the grid; the cache
-    is not a field, so equality, hashing and repr see only the cells.
+    computed at most once per notation and kept with the grid.  A grid is
+    immutable, and equality and hashing see only the cells, not the name.
     """
 
-    cells: tuple[tuple[str, ...], ...]
-    name: str | None = field(default=None, compare=False)
+    __slots__ = ("cells", "name", "_values")
 
-    def __post_init__(self) -> None:
+    def __init__(self, cells: tuple[tuple[str, ...], ...], name: str | None = None) -> None:
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_values", {})
         side = len(self.cells)
         if side == 0:
             raise ShapeError("grid has no rows")
@@ -52,7 +52,27 @@ class Grid:
             for i, row in enumerate(self.cells):
                 for j, word in enumerate(row):
                     _check_letters(word, i, j)
-        object.__setattr__(self, "_values", {})
+
+    def __repr__(self) -> str:
+        return f"Grid(cells={self.cells!r}, name={self.name!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.cells == other.cells
+
+    def __hash__(self) -> int:
+        return hash(self.cells)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # rebuilt through the constructor, which checks the cells again
+        return Grid, (self.cells, self.name)
 
     @property
     def side(self) -> int:

@@ -8,7 +8,6 @@ canonical tables, their complements and dihedral images, and generated
 grids.
 """
 
-import dataclasses
 import math
 from collections import Counter
 from fractions import Fraction
@@ -464,7 +463,7 @@ def test_replaced_probabilities_give_the_new_grids_entropy():
     r16 = normalize(load_canonical("R16"), Notation.DEC)
     for table_id in ("R4", "R8A"):
         new = normalize(load_canonical(table_id), Notation.DEC)
-        replaced = dataclasses.replace(r16, values=new.values, line_sum=new.line_sum)
+        replaced = ProbabilityGrid(new.values, r16.notation, new.line_sum, r16.source)
         assert float_bits(shannon_report(replaced)) == float_bits(shannon_report(new))
         assert float_bits(shannon_report(replaced)) == float_bits(ref_shannon_report(new))
         assert order_index(replaced) == order_index(new) == ref_order_index(new)
@@ -633,3 +632,14 @@ def test_dihedral_maps_keep_every_verdict_and_region_count(grid):
     facts = orbit_facts(grid)
     for d in range(1, 8):
         assert orbit_facts(Grid(dihedral(grid.cells, d))) == facts
+
+
+@examples(60)
+@given(st.one_of(orbit_grids(), random_grids()), st.text(min_size=1, max_size=8))
+def test_serialized_grids_parse_back_equal_whatever_their_names(grid, name):
+    parsed = parse_grid(serialize_grid(grid), name=name)
+    assert parsed == grid and hash(parsed) == hash(grid)
+    assert (parsed.cells, parsed.name, grid.name) == (grid.cells, name, None)
+    renamed = Grid(grid.cells, "x")
+    assert renamed == grid and hash(renamed) == hash(grid)
+    assert parse_grid(serialize_grid(renamed)) == renamed

@@ -42,3 +42,46 @@ def test_every_traced_name_is_a_function_of_its_layer(name):
     # the tracer wraps only plain functions defined in the layer's own module
     assert inspect.isfunction(fn), f"genemagic.{name} is not a function"
     assert fn.__module__ == module.__name__
+
+
+#: Package names that ``bench/orbit.py`` calls through ``genemagic``.
+ORBIT_NAMES = (
+    "parse_grid",
+    "analyze",
+    "normalize",
+    "shannon_report",
+    "order_index",
+    "standard_regions",
+    "place_permutation_report",
+    "weight_grid",
+    "balance_report",
+)
+
+
+def test_restoring_the_tracer_gives_back_the_package_functions():
+    import genemagic
+
+    originals = {name: getattr(genemagic, name) for name in ORBIT_NAMES}
+    restore = TRACED.install(TRACED.Tracer())
+    try:
+        wrapped = {name: getattr(genemagic, name) for name in ORBIT_NAMES}
+    finally:
+        restore()
+    for name, original in originals.items():
+        assert wrapped[name] is not original, name
+        assert getattr(genemagic, name) is original, name
+
+
+def test_a_traced_command_counts_the_layer_calls_it_makes(capsys):
+    from genemagic import cli
+
+    recorder = TRACED.Tracer()
+    restore = TRACED.install(recorder)
+    try:
+        code = cli.main(["verify", "R16"])
+    finally:
+        restore()
+    assert code == 0 and "bimagic: yes" in capsys.readouterr().out
+    assert recorder.calls["cli.cmd_verify"] == 1
+    assert recorder.calls["magic.analyze"] == 1
+    assert recorder.calls["tables.load_canonical"] == 1
