@@ -32,18 +32,23 @@ print(code, *sorted(set(sys.modules) - before))
 NEVER = {"dataclasses", "json", "csv", "fractions"}
 
 
-def loaded_by(*argv: str) -> set[str]:
+def python(code: str, *argv: str) -> str:
+    """Stdout of ``code`` run by a fresh interpreter that imports genemagic from this tree."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", PROBE, *argv],
+        [sys.executable, "-c", code, *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
         timeout=60,
         check=True,
     )
-    code, *modules = done.stdout.split()
-    assert code == "0", done.stderr
+    return done.stdout
+
+
+def loaded_by(*argv: str) -> set[str]:
+    code, *modules = python(PROBE, *argv).split()
+    assert code == "0"
     return set(modules)
 
 
@@ -75,9 +80,12 @@ def test_every_public_name_resolves_to_its_submodules_object(name):
     assert vars(genemagic)[name] is value
 
 
-def test_dir_lists_every_public_name():
-    assert set(genemagic.__all__) <= set(dir(genemagic))
-    assert "__version__" in dir(genemagic)
+def test_dir_lists_every_public_name_before_it_loads():
+    code = "import genemagic, sys; print(*dir(genemagic), 'genemagic.magic' in sys.modules)"
+    listed = python(code)
+    *names, magic_loaded = listed.split()
+    assert set(genemagic.__all__) | {"__version__"} <= set(names)
+    assert magic_loaded == "False"
 
 
 def test_an_unknown_name_is_an_attribute_error():
@@ -89,8 +97,9 @@ def test_an_unknown_name_is_an_attribute_error():
 
 
 def test_submodules_are_reachable_as_attributes():
-    for source in set(genemagic._SOURCES.values()):
-        assert getattr(genemagic, source) is importlib.import_module(f"genemagic.{source}")
+    sources = sorted(set(genemagic._SOURCES.values()))
+    code = "import sys, genemagic; print(*(getattr(genemagic, m).__name__ for m in sys.argv[1:]))"
+    assert python(code, *sources).split() == [f"genemagic.{source}" for source in sources]
 
 
 def test_the_cli_orientation_groups_are_the_enzyme_tables():

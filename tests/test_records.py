@@ -11,6 +11,7 @@ tables and by hand.
 import copy
 import pickle
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -131,6 +132,8 @@ def test_records_with_a_different_field_differ():
     assert prob != ProbabilityGrid(prob.values, Notation.BIN, prob.line_sum, prob.source)
     assert weight_grid(r4) != weight_grid(r16)
     assert Grid(r4.cells) != Grid(tuple(reversed(r4.cells)))
+    # a grid equals only grids, whatever else holds the same cells
+    assert r4 != SimpleNamespace(cells=r4.cells, name="R4") and r4 != r4.cells
 
 
 def test_grid_equality_and_hash_ignore_the_name():
