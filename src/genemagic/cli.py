@@ -727,8 +727,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         for flag, options in specs:
             p.add_argument(flag, **options)
-        # cmd_<name> is looked up on each build, so a wrapper installed over it is called
-        p.set_defaults(func=globals()[f"cmd_{name}"])
     return parser
 
 
@@ -739,7 +737,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except GenemagicError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -122,7 +122,8 @@ def entropy_term(p: Fraction) -> float:
     if p == 0:
         return 0.0
     x = float(p)
-    return -x * math.log10(x)
+    # adding 0.0 turns the -0.0 of p = 1 into 0.0 and leaves any other float as it is
+    return -x * math.log10(x) + 0.0
 
 
 class EntropyReport(NamedTuple):
@@ -139,7 +140,7 @@ def shannon_report(p: ProbabilityGrid) -> EntropyReport:
     numerators, d = p.scaled
     # n / d is float(Fraction(n, d)), so each term equals entropy_term's
     log10 = math.log10
-    terms = [-(n / d) * log10(n / d) if n else 0.0 for n in numerators]
+    terms = [-(n / d) * log10(n / d) + 0.0 if n else 0.0 for n in numerators]
     sums = [math.fsum(get(terms)) for get in _grid_lines(side)]
     return EntropyReport(
         terms=_split_rows(terms, side),

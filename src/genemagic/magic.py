@@ -14,10 +14,9 @@ from .encoding import Notation
 from .errors import ShapeError
 from .structure import (
     Region,
-    _getter,
+    _block_plan,
     _grid_lines,
     _plans,
-    _square_lines,
     _tally,
     half_columns,
     half_diagonals,
@@ -69,23 +68,6 @@ class MagicReport(NamedTuple):
     block_sums: dict[int, dict[tuple[int, int], BlockSums]]
     half_line_sums: dict[Region, int]
     divisibility: tuple[tuple[int, int], ...]
-
-
-@functools.lru_cache(maxsize=64)
-def _block_plan(
-    side: int, rows: int, cols: int
-) -> tuple[tuple[tuple[int, int], ...], tuple[Callable, ...], tuple[Callable, ...]]:
-    """Positions of the aligned rows x cols blocks, a getter of each block's
-    cells, and, for square blocks, getters of every block's lines, block by block."""
-    keys = tuple((bi, bj) for bi in range(side // rows) for bj in range(side // cols))
-    index_tuples = [
-        tuple((bi * rows + di) * side + bj * cols + dj for di in range(rows) for dj in range(cols))
-        for bi, bj in keys
-    ]
-    lines = []
-    if rows == cols:
-        lines = [line for idx in index_tuples for line in _square_lines(idx, rows)]
-    return keys, tuple(map(_getter, index_tuples)), tuple(map(_getter, lines))
 
 
 @functools.lru_cache(maxsize=64)
@@ -161,12 +143,13 @@ def _block_sums(
 ) -> dict[tuple[int, int], BlockSums]:
     """Sums and square sums of the aligned rows x cols blocks, with each
     square block's own magic verdict when ``magic_check`` is set."""
-    keys, getters, line_getters = _block_plan(side, rows, cols)
-    totals, square_totals = _tally(values, getters), _tally(squares, getters)
+    keys, getters = _block_plan(side, rows, cols)
+    blocks = [get(values) for get in getters]
+    totals, square_totals = map(sum, blocks), _tally(squares, getters)
     verdicts = [None] * len(keys)
     if magic_check:
-        sums, per = _tally(values, line_getters), 2 * rows + 2
-        verdicts = [_constant(sums[i:i + per]) is not None for i in range(0, len(sums), per)]
+        lines = _grid_lines(rows)
+        verdicts = [_constant(_tally(block, lines)) is not None for block in blocks]
     return {
         key: BlockSums(total, square_total, verdict)
         for key, total, square_total, verdict in zip(keys, totals, square_totals, verdicts)

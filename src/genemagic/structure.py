@@ -37,7 +37,10 @@ class Region(NamedTuple):
 
     def cells(self, side: int) -> tuple[tuple[int, int], ...]:
         """The (row, col) positions this region covers in a grid of that side."""
-        return _cells(self, side)
+        cells = _positions(self, side)
+        if not all(0 <= i < side and 0 <= j < side for i, j in cells):
+            raise ShapeError(f"region {self.label!r} lies outside a grid of side {side}")
+        return cells
 
     @property
     def label(self) -> str:
@@ -70,14 +73,6 @@ def _check_index(kind: str, idx: tuple[int, ...]) -> None:
         raise ShapeError(f"{kind} region index {idx!r}: its selectors must be 0 or 1")
 
 
-@functools.lru_cache(maxsize=4096)
-def _cells(region: Region, side: int) -> tuple[tuple[int, int], ...]:
-    cells = _positions(region, side)
-    if not all(0 <= i < side and 0 <= j < side for i, j in cells):
-        raise ShapeError(f"region {region.label!r} lies outside a grid of side {side}")
-    return cells
-
-
 def _positions(region: Region, side: int) -> tuple[tuple[int, int], ...]:
     """The positions a region names, which may fall outside the grid."""
     kind, idx = region
@@ -94,9 +89,7 @@ def _positions(region: Region, side: int) -> tuple[tuple[int, int], ...]:
         k, bi, bj = idx
         if side % k:
             raise ShapeError(f"block size {k} does not divide side {side}")
-        return tuple(
-            (bi * k + di, bj * k + dj) for di in range(k) for dj in range(k)
-        )
+        return _block_cells(k, k, bi, bj)
     which, half = idx
     if side % 2:
         raise ShapeError(f"half regions need an even side, got {side}")
@@ -110,12 +103,18 @@ def _positions(region: Region, side: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, side - 1 - i) for i in span)
 
 
-def _getter(idx: Sequence[int]) -> Callable[[Sequence], Sequence]:
-    """Fetch the cells at flat indices ``idx``, always as a sequence.
+def _block_cells(rows: int, cols: int, bi: int, bj: int) -> tuple[tuple[int, int], ...]:
+    """Row-major positions of the rows x cols block at block row bi, column bj."""
+    return tuple((bi * rows + di, bj * cols + dj) for di in range(rows) for dj in range(cols))
+
+
+def _getter(cells: Sequence[tuple[int, int]], side: int) -> Callable[[Sequence], Sequence]:
+    """Fetch the row-major values at these positions, always as a sequence.
 
     ``itemgetter(k)`` alone returns the bare item, so a region of one cell
     (or none) takes a slice instead.
     """
+    idx = [i * side + j for i, j in cells]
     if len(idx) > 1:
         return itemgetter(*idx)
     return itemgetter(slice(idx[0], idx[0] + 1) if idx else slice(0))
@@ -124,24 +123,24 @@ def _getter(idx: Sequence[int]) -> Callable[[Sequence], Sequence]:
 @functools.lru_cache(maxsize=256)
 def _plans(regions: tuple[Region, ...], side: int) -> tuple[tuple[Callable, ...], tuple[int, ...]]:
     """Each region's cell getter over row-major values, and its size."""
-    flats = [tuple(i * side + j for i, j in _cells(region, side)) for region in regions]
-    return tuple(map(_getter, flats)), tuple(map(len, flats))
-
-
-def _square_lines(idx: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
-    """Rows, columns, main and anti diagonal of a k x k square of row-major indices."""
-    return (
-        [idx[r * k:(r + 1) * k] for r in range(k)]
-        + [idx[c::k] for c in range(k)]
-        + [tuple(idx[r * k + r] for r in range(k))]
-        + [tuple(idx[r * k + k - 1 - r] for r in range(k))]
-    )
+    cells = [region.cells(side) for region in regions]
+    return tuple(_getter(c, side) for c in cells), tuple(map(len, cells))
 
 
 @functools.lru_cache(maxsize=64)
 def _grid_lines(side: int) -> tuple[Callable, ...]:
     """Getters of the rows, columns, main and anti diagonal of a grid."""
-    return tuple(map(_getter, _square_lines(tuple(range(side * side)), side)))
+    return _plans(tuple(rows(side) + columns(side) + diagonals()), side)[0]
+
+
+@functools.lru_cache(maxsize=64)
+def _block_plan(
+    side: int, rows: int, cols: int
+) -> tuple[tuple[tuple[int, int], ...], tuple[Callable, ...]]:
+    """Positions of the aligned rows x cols blocks, and a getter of each
+    block's cells in row-major order."""
+    keys = tuple((bi, bj) for bi in range(side // rows) for bj in range(side // cols))
+    return keys, tuple(_getter(_block_cells(rows, cols, bi, bj), side) for bi, bj in keys)
 
 
 def _tally(values: Sequence[int], getters: Sequence[Callable]) -> list[int]:
@@ -265,12 +264,10 @@ def latin_square_check(array: Sequence[Sequence[object]]) -> LatinVerdict:
         raise ShapeError(
             f"{len(alphabet)} distinct symbols cannot form a Latin square of side {side}"
         )
-    lines = [tuple(row) for row in array]
-    lines += [tuple(row[j] for row in array) for j in range(side)]
-    latin = all(len(set(line)) == side for line in lines)
-    main = {array[i][i] for i in range(side)}
-    anti = {array[i][side - 1 - i] for i in range(side)}
-    return LatinVerdict(latin, latin and len(main) == side and len(anti) == side)
+    flat = [sym for row in array for sym in row]
+    full = [len(set(get(flat))) == side for get in _grid_lines(side)]
+    latin = all(full[:2 * side])
+    return LatinVerdict(latin, latin and all(full[2 * side:]))
 
 
 def orthogonality_check(

@@ -217,6 +217,18 @@ def test_input_file_round_trip(tmp_path, capsys):
     assert json.loads(out)["s1"] == 34
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv", "json", "md"])
+def test_entropy_of_a_certain_cell_is_not_negative_zero(tmp_path, capsys, fmt):
+    grid_file = tmp_path / "certain.grid"
+    grid_file.write_text("n=1 size=2\nC A\nA C\n")
+    code, out, _ = run(
+        capsys, "entropy", "--input", str(grid_file), "--notation", "bin", "--format", fmt
+    )
+    assert code == 0
+    assert "0.0000" in out
+    assert "-0.0000" not in out
+
+
 def test_input_file_parse_error(tmp_path, capsys):
     grid_file = tmp_path / "bad.grid"
     grid_file.write_text("n=2 size=2\nAT TG\nCA\n")

@@ -109,6 +109,11 @@ def test_block_locality_detects_cross_block_swap():
     assert not block_locality_check(swapped)
 
 
+def test_block_locality_rejects_pairs_in_the_upper_blocks():
+    # every pair still shares a 4x4 block, but in block rows 1-2 of 4
+    assert not block_locality_check(Grid(tuple(reversed(R16.cells))))
+
+
 def test_block_locality_requires_listed_tetramers():
     cells = [list(row) for row in R16.cells]
     cells[8][2] = "CCCC"  # replace GATC; duplicates are fine, absence is not

@@ -29,6 +29,7 @@ from genemagic import (
     complement,
     encoding,
     entropy_term,
+    latin_square_check,
     load_canonical,
     normalize,
     numeric_grid,
@@ -419,7 +420,11 @@ def float_bits(report):
 
 
 def ref_entropy_term(p):
-    return 0.0 if p == 0 else -float(p) * math.log10(float(p))
+    return 0.0 if p in (0, 1) else -float(p) * math.log10(float(p))
+
+
+def test_entropy_term_of_a_certain_cell_is_positive_zero():
+    assert entropy_term(Fraction(1)).hex() == (0.0).hex()
 
 
 @examples(60)
@@ -643,3 +648,46 @@ def test_serialized_grids_parse_back_equal_whatever_their_names(grid, name):
     renamed = Grid(grid.cells, "x")
     assert renamed == grid and hash(renamed) == hash(grid)
     assert parse_grid(serialize_grid(renamed)) == renamed
+
+
+def ref_latin_square_check(array):
+    side = len(array)
+    if any(len(row) != side for row in array):
+        raise ShapeError("array is not square")
+    alphabet = {sym for row in array for sym in row}
+    if len(alphabet) > side:
+        raise ShapeError(
+            f"{len(alphabet)} distinct symbols cannot form a Latin square of side {side}"
+        )
+    columns = [[array[i][j] for i in range(side)] for j in range(side)]
+    latin = all(len(set(line)) == side for line in [*array, *columns])
+    main = {array[i][i] for i in range(side)}
+    anti = {array[i][side - 1 - i] for i in range(side)}
+    return latin, latin and len(main) == side and len(anti) == side
+
+
+@st.composite
+def latin_candidates(draw):
+    """Cyclic squares a*i + j (Latin when gcd(a, side) is 1), sometimes under
+    random row and column permutations, under a random symbol permutation,
+    and sometimes with one cell overwritten."""
+    side = draw(st.integers(1, 6))
+    a = draw(st.integers(1, side))
+    identity = list(range(side))
+    row_perm = draw(st.permutations(identity) | st.just(identity))
+    col_perm = draw(st.permutations(identity) | st.just(identity))
+    symbols = draw(st.permutations("abcdef"[:side]))
+    square = [
+        [symbols[(a * row_perm[i] + col_perm[j]) % side] for j in range(side)]
+        for i in range(side)
+    ]
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, side - 1)), draw(st.integers(0, side - 1))
+        square[i][j] = draw(st.sampled_from(symbols))
+    return square
+
+
+@examples(50)
+@given(latin_candidates())
+def test_latin_square_check_matches_reference(square):
+    assert outcome(latin_square_check, square) == outcome(ref_latin_square_check, square)

@@ -134,6 +134,11 @@ def test_records_with_a_different_field_differ():
     assert Grid(r4.cells) != Grid(tuple(reversed(r4.cells)))
     # a grid equals only grids, whatever else holds the same cells
     assert r4 != SimpleNamespace(cells=r4.cells, name="R4") and r4 != r4.cells
+    # and a probability grid equals only probability grids
+    fields = SimpleNamespace(
+        values=prob.values, notation=prob.notation, line_sum=prob.line_sum, source=prob.source
+    )
+    assert prob != fields and prob != prob.values
 
 
 def test_grid_equality_and_hash_ignore_the_name():
