@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .encoding import Notation
 from .errors import PreconditionError, ShapeError
-from .structure import _grid_lines, _tally
+from .structure import _by_line, _layout, _tally
 from .tables import Grid, _split_rows
 
 
@@ -97,15 +97,15 @@ def normalize(grid: Grid, notation: Notation) -> ProbabilityGrid:
     """
     side = grid.side
     values = grid.flat_values(notation)
-    line_sums = _tally(values, _grid_lines(side))
-    target = line_sums[0]
-    for i, total in enumerate(line_sums[:side]):
+    row_sums, col_sums, _ = _by_line(_tally(values, _layout(side).lines), side)
+    target = row_sums[0]
+    for i, total in enumerate(row_sums):
         if total != target:
             raise PreconditionError(
                 f"not magic under {notation.value}: row 1 sums to {target} "
                 f"but row {i + 1} sums to {total}"
             )
-    for j, total in enumerate(line_sums[side:2 * side]):
+    for j, total in enumerate(col_sums):
         if total != target:
             raise PreconditionError(
                 f"not magic under {notation.value}: rows sum to {target} "
@@ -141,13 +141,8 @@ def shannon_report(p: ProbabilityGrid) -> EntropyReport:
     # n / d is float(Fraction(n, d)), so each term equals entropy_term's
     log10 = math.log10
     terms = [-(n / d) * log10(n / d) + 0.0 if n else 0.0 for n in numerators]
-    sums = [math.fsum(get(terms)) for get in _grid_lines(side)]
-    return EntropyReport(
-        terms=_split_rows(terms, side),
-        row_sums=tuple(sums[:side]),
-        col_sums=tuple(sums[side:2 * side]),
-        diag_sums=tuple(sums[2 * side:]),
-    )
+    sums = [math.fsum(get(terms)) for get in _layout(side).lines]
+    return EntropyReport(_split_rows(terms, side), *_by_line(sums, side))
 
 
 class OrderIndex(NamedTuple):
@@ -162,9 +157,9 @@ def order_index(p: ProbabilityGrid) -> OrderIndex:
     # Over the common denominator d each p is an integer n/d, so a line's
     # sum(p**2) is the one exact fraction sum(n*n) / d**2.
     numerators, d = p.scaled
-    sums = _tally([n * n for n in numerators], _grid_lines(side)[:2 * side])
+    rows, cols, _ = _by_line(_tally([n * n for n in numerators], _layout(side).lines), side)
     d2 = d * d
     return OrderIndex(
-        rows=tuple(Fraction(total, d2) for total in sums[:side]),
-        cols=tuple(Fraction(total, d2) for total in sums[side:]),
+        rows=tuple(Fraction(total, d2) for total in rows),
+        cols=tuple(Fraction(total, d2) for total in cols),
     )

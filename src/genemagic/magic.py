@@ -7,21 +7,11 @@ int range and is asserted exactly by the test suite.
 
 from __future__ import annotations
 
-import functools
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .encoding import Notation
 from .errors import ShapeError
-from .structure import (
-    Region,
-    _block_plan,
-    _grid_lines,
-    _plans,
-    _tally,
-    half_columns,
-    half_diagonals,
-    half_rows,
-)
+from .structure import Region, _block_plan, _by_line, _layout, _tally
 from .tables import Grid, _split_rows
 
 #: The prime whose divisibility the reports track.
@@ -70,12 +60,6 @@ class MagicReport(NamedTuple):
     divisibility: tuple[tuple[int, int], ...]
 
 
-@functools.lru_cache(maxsize=64)
-def _half_lines(side: int) -> tuple[tuple[Region, ...], tuple[Callable, ...]]:
-    regions = tuple(half_rows(side) + half_columns(side) + half_diagonals())
-    return regions, _plans(regions, side)[0]
-
-
 def _constant(sums: Sequence[int]) -> int | None:
     distinct = set(sums)
     return distinct.pop() if len(distinct) == 1 else None
@@ -84,13 +68,12 @@ def _constant(sums: Sequence[int]) -> int | None:
 def analyze(grid: Grid, notation: Notation) -> MagicReport:
     """Full exact magic/bimagic report of a grid under one notation."""
     side = grid.side
+    layout = _layout(side)
     values = grid.flat_values(notation)
     squares = [v * v for v in values]
-    lines = _grid_lines(side)
-    s1_lines, s2_lines = _tally(values, lines), _tally(squares, lines)
-    s1_rows, s1_cols = tuple(s1_lines[:side]), tuple(s1_lines[side:2 * side])
-    s2_rows, s2_cols = tuple(s2_lines[:side]), tuple(s2_lines[side:2 * side])
-    s1_diags, s2_diags = tuple(s1_lines[2 * side:]), tuple(s2_lines[2 * side:])
+    s1_lines, s2_lines = _tally(values, layout.lines), _tally(squares, layout.lines)
+    s1_rows, s1_cols, s1_diags = _by_line(s1_lines, side)
+    s2_rows, s2_cols, s2_diags = _by_line(s2_lines, side)
 
     s1 = _constant(s1_lines)
     magic = s1 is not None
@@ -102,15 +85,8 @@ def analyze(grid: Grid, notation: Notation) -> MagicReport:
     if s2 is None:
         s2 = _constant(s2_cols)
 
-    block_sums = {
-        k: _block_sums(values, squares, side, k, k, k >= 3)
-        for k in (2, 4)
-        if k < side and side % k == 0
-    }
-    half_line_sums: dict[Region, int] = {}
-    if side % 2 == 0 and side > 1:
-        regions, getters = _half_lines(side)
-        half_line_sums = dict(zip(regions, _tally(values, getters)))
+    block_sums = {k: _block_sums(values, squares, plan, k) for k, plan in layout.blocks}
+    half_line_sums = dict(zip(layout.halves, _tally(values, layout.half_getters)))
 
     return MagicReport(
         grid_name=grid.name,
@@ -134,21 +110,16 @@ def analyze(grid: Grid, notation: Notation) -> MagicReport:
 
 
 def _block_sums(
-    values: Sequence[int],
-    squares: Sequence[int],
-    side: int,
-    rows: int,
-    cols: int,
-    magic_check: bool = False,
+    values: Sequence[int], squares: Sequence[int], plan: tuple, k: int = 0
 ) -> dict[tuple[int, int], BlockSums]:
-    """Sums and square sums of the aligned rows x cols blocks, with each
-    square block's own magic verdict when ``magic_check`` is set."""
-    keys, getters = _block_plan(side, rows, cols)
+    """Sums and square sums of the blocks of a ``_block_plan``, with each
+    block's own magic verdict when they are k x k squares with k >= 3."""
+    keys, getters = plan
     blocks = [get(values) for get in getters]
     totals, square_totals = map(sum, blocks), _tally(squares, getters)
     verdicts = [None] * len(keys)
-    if magic_check:
-        lines = _grid_lines(rows)
+    if k >= 3:
+        lines = _layout(k).lines
         verdicts = [_constant(_tally(block, lines)) is not None for block in blocks]
     return {
         key: BlockSums(total, square_total, verdict)
@@ -168,7 +139,7 @@ def block_report(
     if k <= 0 or side % k:
         raise ShapeError(f"block size {k} does not divide side {side}")
     values = grid.flat_values(notation)
-    return _block_sums(values, [v * v for v in values], side, k, k, k >= 3)
+    return _block_sums(values, [v * v for v in values], _block_plan(side, k, k), k)
 
 
 def rect_block_report(
@@ -181,7 +152,7 @@ def rect_block_report(
             f"block shape {rows}x{cols} does not tile a grid of side {side}"
         )
     values = grid.flat_values(notation)
-    return _block_sums(values, [v * v for v in values], side, rows, cols)
+    return _block_sums(values, [v * v for v in values], _block_plan(side, rows, cols))
 
 
 def divisibility_facts(report: MagicReport) -> tuple[tuple[int, int], ...]:

@@ -127,13 +127,6 @@ def _plans(regions: tuple[Region, ...], side: int) -> tuple[tuple[Callable, ...]
     return tuple(_getter(c, side) for c in cells), tuple(map(len, cells))
 
 
-@functools.lru_cache(maxsize=64)
-def _grid_lines(side: int) -> tuple[Callable, ...]:
-    """Getters of the rows, columns, main and anti diagonal of a grid."""
-    return _plans(tuple(rows(side) + columns(side) + diagonals()), side)[0]
-
-
-@functools.lru_cache(maxsize=64)
 def _block_plan(
     side: int, rows: int, cols: int
 ) -> tuple[tuple[tuple[int, int], ...], tuple[Callable, ...]]:
@@ -141,6 +134,42 @@ def _block_plan(
     block's cells in row-major order."""
     keys = tuple((bi, bj) for bi in range(side // rows) for bj in range(side // cols))
     return keys, tuple(_getter(_block_cells(rows, cols, bi, bj), side) for bi, bj in keys)
+
+
+class _Layout(NamedTuple):
+    """Everything a grid of one side is checked over, planned once."""
+
+    #: Getters of the rows, columns, main and anti diagonal, in that order.
+    lines: tuple[Callable, ...]
+    halves: tuple[Region, ...]
+    half_getters: tuple[Callable, ...]
+    #: (k, block plan) for the aligned k x k blocks, k in (2, 4).
+    blocks: tuple[tuple[int, tuple], ...]
+    standard: tuple[Region, ...]
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(side: int) -> _Layout:
+    """The plans of a grid of this side.
+
+    Half lines join the standard regions only when they can hold whole
+    letter groups, i.e. when half a side is a multiple of 4.
+    """
+    lines = rows(side) + columns(side) + diagonals()
+    halves = half_rows(side) + half_columns(side) + half_diagonals() if side % 2 == 0 else []
+    sizes = [k for k in (2, 4) if k < side and side % k == 0]
+    standard = lines + [r for k in sizes for r in blocks(side, k)]
+    if side % 8 == 0:
+        standard += halves
+    return _Layout(
+        _plans(tuple(lines), side)[0], tuple(halves), _plans(tuple(halves), side)[0],
+        tuple((k, _block_plan(side, k, k)) for k in sizes), tuple(standard),
+    )
+
+
+def _by_line(sums: Sequence, side: int) -> tuple[tuple, tuple, tuple]:
+    """Results over ``_layout(side).lines`` split into rows, columns and diagonals."""
+    return tuple(sums[:side]), tuple(sums[side:2 * side]), tuple(sums[2 * side:])
 
 
 def _tally(values: Sequence[int], getters: Sequence[Callable]) -> list[int]:
@@ -205,23 +234,9 @@ def half_diagonals() -> list[Region]:
 
 
 def standard_regions(side: int) -> list[Region]:
-    """Rows, columns, both diagonals, aligned 2x2 and 4x4 blocks, half lines.
-
-    Half lines join the set only when they can hold whole letter groups,
-    i.e. when half a side is a multiple of 4.
-    """
-    return list(_standard_regions(side))
-
-
-@functools.lru_cache(maxsize=64)
-def _standard_regions(side: int) -> tuple[Region, ...]:
-    regions = rows(side) + columns(side) + diagonals()
-    for k in (2, 4):
-        if k < side and side % k == 0:
-            regions += blocks(side, k)
-    if side % 8 == 0:
-        regions += half_rows(side) + half_columns(side) + half_diagonals()
-    return tuple(regions)
+    """Rows, columns, both diagonals, aligned 2x2 and 4x4 blocks, half lines
+    (see ``_layout`` for when half lines join)."""
+    return list(_layout(side).standard)
 
 
 def place_letters(grid: Grid, place: int) -> tuple[tuple[str, ...], ...]:
@@ -265,9 +280,11 @@ def latin_square_check(array: Sequence[Sequence[object]]) -> LatinVerdict:
             f"{len(alphabet)} distinct symbols cannot form a Latin square of side {side}"
         )
     flat = [sym for row in array for sym in row]
-    full = [len(set(get(flat))) == side for get in _grid_lines(side)]
-    latin = all(full[:2 * side])
-    return LatinVerdict(latin, latin and all(full[2 * side:]))
+    full_rows, full_cols, full_diags = _by_line(
+        [len(set(get(flat))) == side for get in _layout(side).lines], side
+    )
+    latin = all(full_rows) and all(full_cols)
+    return LatinVerdict(latin, latin and all(full_diags))
 
 
 def orthogonality_check(
