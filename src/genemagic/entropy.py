@@ -21,10 +21,10 @@ from typing import NamedTuple
 from .encoding import Notation
 from .errors import PreconditionError, ShapeError
 from .structure import _by_line, _layout, _tally
-from .tables import Grid, _split_rows
+from .tables import Grid, _Record, _split_rows
 
 
-class ProbabilityGrid:
+class ProbabilityGrid(_Record):
     """Exact cell/S1 probabilities of a grid magic under some notation.
 
     ``scaled`` is derived from ``values`` when the grid is built: the same
@@ -35,6 +35,7 @@ class ProbabilityGrid:
     """
 
     __slots__ = ("values", "notation", "line_sum", "source", "scaled")
+    _fields = ("values", "notation", "line_sum", "source")
 
     def __init__(
         self,
@@ -56,33 +57,6 @@ class ProbabilityGrid:
         object.__setattr__(self, "line_sum", line_sum)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "scaled", (tuple(n * (d // q) for n, q in ratios), d))
-
-    def _key(self) -> tuple:
-        return self.values, self.notation, self.line_sum, self.source
-
-    def __repr__(self) -> str:
-        return (
-            f"ProbabilityGrid(values={self.values!r}, notation={self.notation!r}, "
-            f"line_sum={self.line_sum!r}, source={self.source!r})"
-        )
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        # rebuilt through the constructor, which derives ``scaled`` again
-        return ProbabilityGrid, self._key()
 
     @property
     def side(self) -> int:

@@ -19,7 +19,44 @@ from .encoding import LETTERS, Notation, _check_length, _encode_words
 from .errors import DataError, ParseError, ShapeError
 
 
-class Grid:
+class _Record:
+    """An immutable value: repr, equality within one class, hashing, pickling.
+
+    A record names its constructor arguments in ``_fields``; equality and
+    hashing see ``_key()``, by default those fields' values.  A copy or an
+    unpickled record is rebuilt through the constructor, which checks and
+    derives everything else again.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _key(self):
+        return tuple(getattr(self, field) for field in self._fields)
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{field}={getattr(self, field)!r}" for field in self._fields)
+        return f"{type(self).__name__}({shown})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, field) for field in self._fields)
+
+
+class Grid(_Record):
     """A square array of same-length words.
 
     Every cell is checked when the grid is built: cells are upper-case
@@ -30,6 +67,7 @@ class Grid:
     """
 
     __slots__ = ("cells", "name", "_values")
+    _fields = ("cells", "name")
 
     def __init__(self, cells: tuple[tuple[str, ...], ...], name: str | None = None) -> None:
         object.__setattr__(self, "cells", cells)
@@ -53,26 +91,8 @@ class Grid:
                 for j, word in enumerate(row):
                     _check_letters(word, i, j)
 
-    def __repr__(self) -> str:
-        return f"Grid(cells={self.cells!r}, name={self.name!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.cells == other.cells
-
-    def __hash__(self) -> int:
-        return hash(self.cells)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        # rebuilt through the constructor, which checks the cells again
-        return Grid, (self.cells, self.name)
+    def _key(self):
+        return self.cells  # the name is not compared or hashed
 
     @property
     def side(self) -> int:
