@@ -4,12 +4,14 @@ Each command builds one payload, the document that ``--format json``
 prints, and renders its csv, md and text views from that payload.
 
 Exit codes: 0 on success, 1 when --strict verification finds a failing
-verdict, 2 on usage errors, unknown tables, or malformed input.
+verdict, 2 on usage errors, unknown tables, malformed input, or output
+that cannot be written (a closed stdout, a full disk, a closed pipe).
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import io
 import os
 import sys
@@ -58,6 +60,8 @@ def _resolve_grid(args: argparse.Namespace) -> tables.Grid:
 
 def _emit(fmt: str, payload, view) -> None:
     """Write ``payload`` as JSON, or as ``view(payload, fmt)`` for csv, md and text."""
+    if sys.stdout is None:  # the process started with its stdout closed
+        raise OSError(errno.EBADF, "standard output is closed")
     if fmt == "json":
         import json
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
@@ -737,9 +741,23 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return globals()[f"cmd_{args.command}"](args)
+        code = globals()[f"cmd_{args.command}"](args)
+        sys.stdout.flush()  # a buffered write fails here, not at exit
+        return code
     except GenemagicError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # As the note on SIGPIPE in the ``signal`` docs advises, what stdout
+        # still holds goes to os.devnull, so the final flush cannot fail again.
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (AttributeError, OSError, ValueError):
+            pass
+        try:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+        except OSError:
+            pass
         return 2
 
 

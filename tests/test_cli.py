@@ -1,10 +1,17 @@
 """Command-line surface: formats, exit codes, and deterministic output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import genemagic
 from genemagic.cli import main
+
+SRC = Path(genemagic.__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -301,3 +308,46 @@ def test_output_is_deterministic(capsys, argv):
     second = run(capsys, *argv)
     assert first == second
     assert first[0] == 0
+
+
+def genemagic_process(*argv, **kwargs) -> subprocess.CompletedProcess:
+    """``python -m genemagic argv`` run from this tree, with its stderr captured."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "genemagic", *argv],
+        stderr=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+        **kwargs,
+    )
+
+
+def assert_write_failure(done, reason):
+    # exit 2, not the --strict code 1, and one error line instead of a traceback
+    assert done.returncode == 2
+    assert done.stderr == f"error: cannot write output: {reason}\n"
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes a file descriptor in the child")
+def test_closed_stdout_exits_2():
+    done = genemagic_process("list", stdout=subprocess.DEVNULL, preexec_fn=lambda: os.close(1))
+    assert_write_failure(done, "[Errno 9] standard output is closed")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_full_disk_exits_2():
+    with open("/dev/full", "w") as full:
+        done = genemagic_process("list", stdout=full)
+    assert_write_failure(done, "[Errno 28] No space left on device")
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs a pipe whose reader has closed")
+def test_pipe_closed_by_its_reader_exits_2():
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = genemagic_process("entropy", "R16", "--format", "json", stdout=write)
+    finally:
+        os.close(write)
+    assert_write_failure(done, "[Errno 32] Broken pipe")
