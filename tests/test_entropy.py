@@ -7,6 +7,7 @@ import pytest
 
 from genemagic import (
     Notation,
+    ProbabilityGrid,
     analyze,
     entropy_term,
     load_canonical,
@@ -15,7 +16,7 @@ from genemagic import (
     parse_grid,
     shannon_report,
 )
-from genemagic.errors import PreconditionError
+from genemagic.errors import PreconditionError, ShapeError
 
 R4 = load_canonical("R4")
 R8A = load_canonical("R8A")
@@ -209,3 +210,9 @@ def test_uniform_rows_reach_maximum_entropy():
     report = shannon_report(normalize(grid, Notation.DEC))
     for value in report.row_sums:
         assert abs(value - math.log10(4)) < 1e-12
+
+
+def test_ragged_probability_row_message_names_the_row_and_its_length():
+    values = ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 3),) * 3)
+    with pytest.raises(ShapeError, match=r"^probability row 2 has 3 values, expected 2$"):
+        ProbabilityGrid(values, Notation.DEC, 1)

@@ -148,3 +148,15 @@ def test_enz_grid_agrees_with_table():
     assert list(enz.cells[2]) + list(enz.cells[3]) == [
         r.tetramer for r in ENZYME_TABLE if r.orientation == OPPOSITE
     ]
+
+
+def test_block_locality_rejects_upper_pairs_off_the_first_row():
+    # block rows 3-4 moved to the top, then the first block's pair moved from
+    # grid row 1 to row 2: every pair shares a block, none lies on row 1
+    cells = [list(row) for row in R16.cells[8:] + R16.cells[:8]]
+    cells[0][:4], cells[1][:4] = cells[1][:4], cells[0][:4]
+    grid = Grid(tuple(tuple(row) for row in cells))
+    members = {tetramer for pair in ANTIPARALLEL_PAIRS for tetramer in pair}
+    assert members.isdisjoint(grid.cells[0])
+    assert block_locality_check(Grid(grid.cells[8:] + grid.cells[:8]))
+    assert not block_locality_check(grid)

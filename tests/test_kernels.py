@@ -691,3 +691,36 @@ def latin_candidates(draw):
 @given(latin_candidates())
 def test_latin_square_check_matches_reference(square):
     assert outcome(latin_square_check, square) == outcome(ref_latin_square_check, square)
+
+
+def complement_constant(notation, n):
+    """R with complement(v) = R - v for the value v of any word of length n."""
+    if notation is Notation.BIN:
+        return int("11" * n)
+    if notation is Notation.DIGIT:
+        return int("5" * n)
+    return 4**n + 1
+
+
+@examples(50)
+@given(st.one_of(random_grids(), orbit_grids()))
+def test_complement_law_on_line_sums_and_verdicts(grid):
+    # Over a line of N cells, S1' = N*R - S1 and S2' = N*R^2 - 2R*S1 + S2.
+    mirrored = Grid(tuple(tuple(complement(word) for word in row) for row in grid.cells))
+    cells = grid.side
+    for notation in Notation:
+        r = complement_constant(notation, grid.word_len)
+        values = numeric_grid(grid, notation).values
+        assert numeric_grid(mirrored, notation).values == tuple(
+            tuple(r - v for v in row) for row in values
+        )
+        before, after = analyze(grid, notation), analyze(mirrored, notation)
+        for lines in ("rows", "cols", "diags"):
+            s1s, s2s = getattr(before, f"s1_{lines}"), getattr(before, f"s2_{lines}")
+            assert getattr(after, f"s1_{lines}") == tuple(cells * r - s1 for s1 in s1s)
+            assert getattr(after, f"s2_{lines}") == tuple(
+                cells * r * r - 2 * r * s1 + s2 for s1, s2 in zip(s1s, s2s)
+            )
+        assert (after.magic, after.bimagic, after.column_bimagic) == (
+            before.magic, before.bimagic, before.column_bimagic
+        )

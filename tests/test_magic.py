@@ -3,6 +3,7 @@
 import pytest
 
 from genemagic import (
+    Grid,
     Notation,
     analyze,
     block_report,
@@ -220,3 +221,26 @@ def test_largest_value_is_exact():
     assert 24266690666424 * 37 == 897867554657688
     report = analyze(R16, Notation.BIN)
     assert report.s2 == 897867554657688
+
+
+@pytest.mark.parametrize("k", [0, -2])
+def test_block_size_below_one_is_a_shape_error(k):
+    with pytest.raises(ShapeError, match=f"block size {k} does not divide side 4"):
+        block_report(R4, Notation.DEC, k)
+
+
+def test_one_row_blocks():
+    values = numeric_grid(R4, Notation.DEC).values
+    report = rect_block_report(R4, Notation.DEC, 1, 2)
+    assert list(report) == [(i, j) for i in range(4) for j in range(2)]
+    for (i, j), sums in report.items():
+        pair = values[i][2 * j:2 * j + 2]
+        assert sums == (sum(pair), sum(v * v for v in pair), None)
+
+
+def test_column_bimagic_needs_a_magic_grid():
+    # every column holds the same values, so equal sums and square sums,
+    # but the two diagonals differ
+    report = analyze(Grid((("C", "A"), ("A", "C"))), Notation.DEC)
+    assert len(set(report.s1_cols + report.s2_cols)) == 2
+    assert not report.magic and not report.column_bimagic

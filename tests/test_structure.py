@@ -269,3 +269,15 @@ def test_reports_answer_lookups_by_separately_built_regions():
         assert not any(key is region for region in regions)
         assert place[key] is True
         assert balance[key] is balanced
+
+
+@pytest.mark.parametrize("k", [0, -4])
+def test_blocks_of_size_below_one_are_a_shape_error(k):
+    with pytest.raises(ShapeError, match=f"block size {k} does not divide side 8"):
+        blocks(8, k)
+
+
+def test_orthogonality_needs_equal_row_counts():
+    # the rows that both arrays have are equally long; only the row counts differ
+    with pytest.raises(ShapeError, match="arrays differ in shape"):
+        orthogonality_check([[1, 2], [2, 1]], [[1, 2]])

@@ -237,3 +237,15 @@ def test_grid_value_cache_is_invisible():
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     assert a.flat_values(Notation.DEC) is a.flat_values(Notation.DEC)
     assert a.flat_values(Notation.DEC) == tuple(v for row in KHAJURAHO for v in row)
+
+
+def test_duplicate_cell_message_names_its_position():
+    with pytest.raises(DataError, match=r"^duplicate cell 'C' at row 2, column 2$"):
+        parse_grid("n=1 size=2\nC A\nT C\n", require_complete=True)
+
+
+def test_incomplete_grid_message_counts_cells_and_words():
+    with pytest.raises(
+        DataError, match=r"^grid is not complete: 9 cells cannot cover all 16 words of length 2$"
+    ):
+        parse_grid("n=2 size=3\nAT TG CC\nCA GC AA\nGG CT TT\n", require_complete=True)
