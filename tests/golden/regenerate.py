@@ -10,6 +10,14 @@ this checkout's ``src/``.  ``tests/test_golden.py`` replays every recorded
 request in process and compares byte for byte.  A changed golden is a
 reviewed diff and is noted in ``CHANGES.md``.
 
+    python tests/golden/regenerate.py --check
+
+replays every recorded request the same way and writes nothing.  It
+prints each request whose exit code, stdout or stderr differs, and exits
+1 if any does (or if the recorded requests are not the pinned ones).  It
+needs only the standard library, so it runs on interpreters without
+pytest.
+
 Requests run with this directory as the working directory, so ``--input``
 paths are relative and no golden depends on where the checkout lives.
 Every request runs with ``COLUMNS=80``, which fixes the width of argparse's
@@ -19,6 +27,7 @@ sets it.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -199,6 +208,33 @@ def load() -> dict[str, list[dict]]:
     }
 
 
+def _pinned(groups: dict[str, list[dict]]) -> dict[str, list[tuple]]:
+    return {group: [(c["argv"], c["env"]) for c in cases] for group, cases in groups.items()}
+
+
+def check() -> int:
+    """Replay every golden and print the requests that differ; 1 if any does, else 0."""
+    sys.path.insert(0, str(SRC))
+    recorded = load()
+    stale = _pinned(recorded) != _pinned(requests())
+    if stale:
+        print("the recorded requests are not the pinned ones; the goldens need regenerating")
+    total = matched = 0
+    for group, cases in recorded.items():
+        for expected in cases:
+            total += 1
+            actual = replay(expected)
+            moved = [key for key in ("exit", "stdout", "stderr") if actual[key] != expected[key]]
+            if not moved:
+                matched += 1
+                continue
+            env = "".join(f"{key}={value} " for key, value in expected["env"].items())
+            argv = " ".join(expected["argv"])
+            print(f"{group}: {env}genemagic {argv}: {', '.join(moved)} differ")
+    print(f"{matched}/{total} requests match on Python {sys.version.split()[0]}")
+    return 1 if stale or matched < total else 0
+
+
 def main() -> None:
     sys.path.insert(0, str(SRC))
     inputs = HERE / "inputs"
@@ -222,4 +258,9 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    parser = argparse.ArgumentParser(description="Record the CLI goldens, or check them.")
+    parser.add_argument(
+        "--check", action="store_true",
+        help="replay every golden, print the requests that differ, and write nothing",
+    )
+    sys.exit(check() if parser.parse_args().check else main())
