@@ -150,11 +150,7 @@ class _Layout(NamedTuple):
 
 @functools.lru_cache(maxsize=64)
 def _layout(side: int) -> _Layout:
-    """The plans of a grid of this side.
-
-    Half lines join the standard regions only when they can hold whole
-    letter groups, i.e. when half a side is a multiple of 4.
-    """
+    """The plans of a grid of this side; see ``standard_regions`` for its region set."""
     lines = rows(side) + columns(side) + diagonals()
     halves = half_rows(side) + half_columns(side) + half_diagonals() if side % 2 == 0 else []
     sizes = [k for k in (2, 4) if k < side and side % k == 0]
@@ -234,8 +230,11 @@ def half_diagonals() -> list[Region]:
 
 
 def standard_regions(side: int) -> list[Region]:
-    """Rows, columns, both diagonals, aligned 2x2 and 4x4 blocks, half lines
-    (see ``_layout`` for when half lines join)."""
+    """Rows, columns, both diagonals, aligned 2x2 and 4x4 blocks, half lines.
+
+    Half lines join the set only when they can hold whole letter groups,
+    i.e. when half a side is a multiple of 4.
+    """
     return list(_layout(side).standard)
 
 
