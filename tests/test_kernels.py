@@ -724,3 +724,40 @@ def test_complement_law_on_line_sums_and_verdicts(grid):
         assert (after.magic, after.bimagic, after.column_bimagic) == (
             before.magic, before.bimagic, before.column_bimagic
         )
+
+
+# ---------------------------------------------------------------------------
+# The region sets the CLI reports
+# ---------------------------------------------------------------------------
+
+def test_cli_reports_the_reference_region_sets(tmp_path, capsys):
+    import json
+    import random
+
+    from genemagic.cli import main
+
+    rng = random.Random(20)
+    for side in range(1, 21):
+        for n in range(1, 5):
+            # an XOR grid with more distinct values than its side has no Latin
+            # verdict and structure exits 2, so such grids hold only C and G
+            letters = LETTERS if n not in (2, 3) or side >= 2**n else "CG"
+            cells = tuple(
+                tuple("".join(rng.choices(letters, k=n)) for _ in range(side))
+                for _ in range(side)
+            )
+            grid = Grid(cells)
+            path = tmp_path / f"grid_{side}_{n}.txt"
+            path.write_text(serialize_grid(grid), encoding="utf-8")
+            reports = {}
+            for command in ("hamming", "structure"):
+                assert main([command, "--input", str(path), "--format", "json"]) == 0
+                reports[command] = json.loads(capsys.readouterr().out)
+            assert list(reports["hamming"]["balance"]) == [
+                region.label for region in balance_regions(grid)
+            ]
+            expected = [r.label for r in standard_regions(side)] if side % 4 == 0 else []
+            places = reports["structure"]["places"]
+            assert list(places) == [str(place) for place in range(1, n + 1)]
+            for entry in places.values():
+                assert list(entry["regions"]) == expected
