@@ -94,6 +94,16 @@ def _lines(lines: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _report(fmt: str, title: str, head: str, items: list[str], tail=(), lead=()) -> str:
+    """A view's lines: md's ``# title``, a blank line and ``- `` before each item,
+    or text's ``head`` and the bare items; ``lead`` lines go before the items."""
+    if fmt == "md":
+        lines = [f"# {title}", "", *lead, *(f"- {item}" for item in items)]
+    else:
+        lines = [head, *lead, *items]
+    return _lines(lines + list(tail))
+
+
 def _yes(flag) -> str:
     return "yes" if flag else "no"
 
@@ -171,17 +181,14 @@ def _show_view(payload: dict, fmt: str) -> str:
 # --------------------------------------------------------------------------
 
 def _region_entries(report: magic.MagicReport) -> list[dict]:
-    entries = []
-    for i, (s, q) in enumerate(zip(report.s1_rows, report.s2_rows)):
-        entries.append({"kind": "row", "index": i + 1, "sum": s, "square_sum": q})
-    for j, (s, q) in enumerate(zip(report.s1_cols, report.s2_cols)):
-        entries.append({"kind": "column", "index": j + 1, "sum": s, "square_sum": q})
-    for kind, s, q in (
-        ("main_diagonal", report.s1_diags[0], report.s2_diags[0]),
-        ("anti_diagonal", report.s1_diags[1], report.s2_diags[1]),
-    ):
-        entries.append({"kind": kind, "index": None, "sum": s, "square_sum": q})
-    return entries
+    from . import structure
+    lines = structure.rows(report.side) + structure.columns(report.side) + structure.diagonals()
+    sums = report.s1_rows + report.s1_cols + report.s1_diags
+    squares = report.s2_rows + report.s2_cols + report.s2_diags
+    return [
+        {"kind": r.kind, "index": r.index[0] + 1 if r.index else None, "sum": s, "square_sum": q}
+        for r, s, q in zip(lines, sums, squares)
+    ]
 
 
 def _half_line_entries(report: magic.MagicReport) -> list[dict]:
@@ -256,52 +263,48 @@ def _verify_view(payload: dict, fmt: str) -> str:
         for entry in payload["half_lines"]:
             rows.append([entry["kind"], f"{entry['index']} ({entry['half']})", entry["sum"], ""])
         return _csv(rows)
-    md = fmt == "md"
-    bullet = "- " if md else ""
-    name, notation = payload["grid"], payload["notation"]
-    if md:
-        lines = [f"# verify {name or 'grid'} ({notation})", ""]
-    else:
-        lines = [f"grid: {name or '-'}  notation: {notation}"]
+    lines = []
     regions = payload["regions"]
     rows = [r for r in regions if r["kind"] == "row"]
     cols = [r for r in regions if r["kind"] == "column"]
     main, anti = regions[-2:]
     if payload["s1"] is not None:
-        lines.append(f"{bullet}S1 := {payload['s1']}")
+        lines.append(f"S1 := {payload['s1']}")
     else:
-        lines.append(f"{bullet}S1: none (row sums {_summarize(r['sum'] for r in rows)})")
+        lines.append(f"S1: none (row sums {_summarize(r['sum'] for r in rows)})")
     if payload["s2"] is not None:
-        lines.append(f"{bullet}S2 := {payload['s2']}")
+        lines.append(f"S2 := {payload['s2']}")
     else:
-        lines.append(f"{bullet}S2: none (square sums differ)")
+        lines.append("S2: none (square sums differ)")
     verdicts = payload["verdicts"]
     for label, key in (
         ("magic", "magic"),
         ("column-bimagic", "column_bimagic"),
         ("bimagic", "bimagic"),
     ):
-        lines.append(f"{bullet}{label}: {_yes(verdicts[key])}")
+        lines.append(f"{label}: {_yes(verdicts[key])}")
     for key, what in (("sum", "sums"), ("square_sum", "square sums")):
-        lines.append(f"{bullet}row {what}: {_summarize(r[key] for r in rows)}")
-        lines.append(f"{bullet}column {what}: {_summarize(c[key] for c in cols)}")
-        lines.append(f"{bullet}diagonal {what}: main {main[key]}, anti {anti[key]}")
+        lines.append(f"row {what}: {_summarize(r[key] for r in rows)}")
+        lines.append(f"column {what}: {_summarize(c[key] for c in cols)}")
+        lines.append(f"diagonal {what}: main {main[key]}, anti {anti[key]}")
     for k, blocks in payload["blocks"].items():
         totals = _summarize(b["sum"] for b in blocks)
         squares = _summarize(b["square_sum"] for b in blocks)
-        lines.append(f"{bullet}{k}x{k} block sums: {totals}; square sums: {squares}")
-        if int(k) >= 3:
+        lines.append(f"{k}x{k} block sums: {totals}; square sums: {squares}")
+        if blocks[0]["magic_subsquare"] is not None:
             good = sum(1 for b in blocks if b["magic_subsquare"])
-            lines.append(f"{bullet}{k}x{k} magic subsquares: {good}/{len(blocks)}")
+            lines.append(f"{k}x{k} magic subsquares: {good}/{len(blocks)}")
     if payload["half_lines"]:
         totals = _summarize(h["sum"] for h in payload["half_lines"])
-        lines.append(f"{bullet}half-line sums: {totals}")
+        lines.append(f"half-line sums: {totals}")
     if payload["divisibility"]:
         facts = "; ".join(f"{d['value']} = {d['quotient']} x 37" for d in payload["divisibility"])
-        lines.append(f"{bullet}divisible by 37: {facts}")
+        lines.append(f"divisible by 37: {facts}")
     else:
-        lines.append(f"{bullet}divisible by 37: none")
-    return _lines(lines)
+        lines.append("divisible by 37: none")
+    name, notation = payload["grid"], payload["notation"]
+    head = f"grid: {name or '-'}  notation: {notation}"
+    return _report(fmt, f"verify {name or 'grid'} ({notation})", head, lines)
 
 
 # --------------------------------------------------------------------------
@@ -369,32 +372,25 @@ def _entropy_view(payload: dict, fmt: str) -> str:
         for j, v in enumerate(payload["order_index"]["columns"]):
             rows.append(["column_order_index", "", j + 1, v["num"], v["den"], v["dec"], ""])
         return _csv(rows)
-    bullet = "- " if fmt == "md" else ""
+    name, notation, line_sum = payload["grid"], payload["notation"], payload["line_sum"]
     diagonal = payload["diagonal_entropy"]
     index = payload["order_index"]
     summary = [
-        f"{bullet}row entropy: {' '.join(payload['row_entropy'])}",
-        f"{bullet}column entropy: {' '.join(payload['column_entropy'])}",
-        f"{bullet}diagonal entropy: main {diagonal['main']}, anti {diagonal['anti']}",
-        f"{bullet}order index per row: {' '.join(v['dec'] for v in index['rows'])}",
-        f"{bullet}order index per column: {' '.join(v['dec'] for v in index['columns'])}",
+        f"row entropy: {' '.join(payload['row_entropy'])}",
+        f"column entropy: {' '.join(payload['column_entropy'])}",
+        f"diagonal entropy: main {diagonal['main']}, anti {diagonal['anti']}",
+        f"order index per row: {' '.join(v['dec'] for v in index['rows'])}",
+        f"order index per column: {' '.join(v['dec'] for v in index['columns'])}",
     ]
     probabilities = [[v["dec"] for v in row] for row in payload["probabilities"]]
+    title = f"entropy {name or 'grid'} ({notation})"
     if fmt == "md":
-        out = [f"# entropy {payload['grid'] or 'grid'} ({payload['notation']})", ""]
-        out.append(f"- line sum: {payload['line_sum']}")
-        out += summary
-        out += ["", "probabilities:", "", _md_grid(probabilities).rstrip()]
-        return _lines(out)
-    out = [
-        f"grid: {payload['grid'] or '-'}  notation: {payload['notation']}  "
-        f"line sum: {payload['line_sum']}"
-    ]
-    out.append("probabilities:")
-    out += ["  " + " ".join(row) for row in probabilities]
-    out.append("entropy terms:")
-    out += ["  " + " ".join(row) for row in payload["entropy_terms"]]
-    return _lines(out + summary)
+        table = ["", "probabilities:", "", _md_grid(probabilities).rstrip()]
+        return _report(fmt, title, "", [f"line sum: {line_sum}", *summary], table)
+    head = f"grid: {name or '-'}  notation: {notation}  line sum: {line_sum}"
+    out = ["probabilities:", *("  " + " ".join(row) for row in probabilities)]
+    out += ["entropy terms:", *("  " + " ".join(row) for row in payload["entropy_terms"])]
+    return _report(fmt, title, head, out + summary)
 
 
 # --------------------------------------------------------------------------
@@ -402,16 +398,14 @@ def _entropy_view(payload: dict, fmt: str) -> str:
 # --------------------------------------------------------------------------
 
 def _balance_regions(grid: tables.Grid) -> list[structure.Region]:
+    """The standard lines and blocks whose size is a multiple of 2^n; no half lines."""
     from . import structure
-    unit = 2**grid.word_len
-    regions: list[structure.Region] = []
-    if grid.side % unit == 0:
-        regions += structure.rows(grid.side) + structure.columns(grid.side)
-        regions += structure.diagonals()
-    for k in (2, 4):
-        if k < grid.side and grid.side % k == 0 and (k * k) % unit == 0:
-            regions += structure.blocks(grid.side, k)
-    return regions
+    standard = structure._layout(grid.side).standard
+    sizes = structure._plans(standard, grid.side)[1]
+    return [
+        region for region, size in zip(standard, sizes)
+        if size % 2**grid.word_len == 0 and region.kind not in structure.HALF_NAMES
+    ]
 
 
 def cmd_hamming(args: argparse.Namespace) -> int:
@@ -419,8 +413,7 @@ def cmd_hamming(args: argparse.Namespace) -> int:
     grid = _resolve_grid(args)
     wg = hamming.weight_grid(grid)
     freq = hamming.frequency_distribution(grid)
-    regions = _balance_regions(grid)
-    balance = hamming.balance_report(grid, regions) if regions else {}
+    balance = hamming.balance_report(grid, _balance_regions(grid))
     payload = {
         "grid": grid.name,
         "word_len": grid.word_len,
@@ -448,22 +441,20 @@ def _hamming_view(payload: dict, fmt: str, words) -> str:
             for j, entry in enumerate(zip(word_row, weight_row, monomial_row)):
                 rows.append([i + 1, j + 1, *entry])
         return _csv(rows)
-    bullet = "- " if fmt == "md" else ""
-    freq = payload["frequency"]
+    name, freq = payload["grid"], payload["frequency"]
     counts = [
-        f"{bullet}counts by weight: {' '.join(str(c) for c in freq['counts'])}",
-        f"{bullet}expected 2^n * C(n,k): {' '.join(str(c) for c in freq['expected'])}",
+        f"counts by weight: {' '.join(str(c) for c in freq['counts'])}",
+        f"expected 2^n * C(n,k): {' '.join(str(c) for c in freq['expected'])}",
     ]
+    title, head = f"hamming {name or 'grid'}", f"grid: {name or '-'}  n={payload['word_len']}"
     if fmt == "md":
         cells = [
             [f"{w} {m}" for w, m in zip(weight_row, monomial_row)]
             for weight_row, monomial_row in zip(weights, monomials)
         ]
-        out = [f"# hamming {payload['grid'] or 'grid'}", "", _md_grid(cells).rstrip(), ""]
-        return _lines(out + counts + [f"- match: {_yes(freq['match'])}"])
-    out = [f"grid: {payload['grid'] or '-'}  n={payload['word_len']}", "weights:"]
-    out += ["  " + " ".join(str(w) for w in row) for row in weights]
-    out += counts
+        table = [_md_grid(cells).rstrip(), ""]
+        return _report(fmt, title, head, [*counts, f"match: {_yes(freq['match'])}"], lead=table)
+    out = ["weights:", *("  " + " ".join(str(w) for w in row) for row in weights), *counts]
     out.append(f"binomial match: {_yes(freq['match'])}")
     balance = payload["balance"]
     if balance:
@@ -472,7 +463,7 @@ def _hamming_view(payload: dict, fmt: str, words) -> str:
         failing = [label for label, ok in balance.items() if not ok]
         if failing:
             out.append("unbalanced: " + "; ".join(failing))
-    return _lines(out)
+    return _report(fmt, title, head, out)
 
 
 # --------------------------------------------------------------------------
@@ -547,19 +538,14 @@ def _structure_view(payload: dict, fmt: str) -> str:
             rows.append(["xor_latin", "", "", payload["xor_grid"]["latin"]])
             rows.append(["xor_diagonal_latin", "", "", payload["xor_grid"]["diagonal_latin"]])
         return _csv(rows)
-    md = fmt == "md"
-    bullet = "- " if md else ""
-    if md:
-        out = [f"# structure {payload['grid'] or 'grid'}", ""]
-    else:
-        out = [f"grid: {payload['grid'] or '-'}  n={payload['word_len']}"]
+    out, tail = [], []
     for place, entry in payload["places"].items():
         regions = entry["regions"]
         passed = sum(1 for ok in regions.values() if ok)
         if regions:
-            line = f"{bullet}place {place}: {passed}/{len(regions)} regions uniform"
+            line = f"place {place}: {passed}/{len(regions)} regions uniform"
         else:
-            line = f"{bullet}place {place}: not applicable (no regions)"
+            line = f"place {place}: not applicable (no regions)"
         failing = [label for label, ok in regions.items() if not ok]
         if failing:
             line += " (failing: " + "; ".join(failing) + ")"
@@ -567,20 +553,21 @@ def _structure_view(payload: dict, fmt: str) -> str:
         if entry["projection_latin"] is not None:
             latin = entry["projection_latin"]
             out.append(
-                f"{bullet}place {place} projection: latin {_yes(latin['latin'])}, "
+                f"place {place} projection: latin {_yes(latin['latin'])}, "
                 f"diagonal latin {_yes(latin['diagonal_latin'])}"
             )
     for pair, ok in payload["orthogonality"].items():
-        out.append(f"{bullet}places {pair} orthogonal: {_yes(ok)}")
+        out.append(f"places {pair} orthogonal: {_yes(ok)}")
     if payload["xor_grid"] is not None:
         xor = payload["xor_grid"]
         out.append(
-            f"{bullet}xor grid: latin {_yes(xor['latin'])}, "
+            f"xor grid: latin {_yes(xor['latin'])}, "
             f"diagonal latin {_yes(xor['diagonal_latin'])}"
         )
-        for row in xor["cells"]:
-            out.append("  " + " ".join(str(v) for v in row))
-    return _lines(out)
+        tail = ["  " + " ".join(str(v) for v in row) for row in xor["cells"]]
+    name = payload["grid"]
+    head = f"grid: {name or '-'}  n={payload['word_len']}"
+    return _report(fmt, f"structure {name or 'grid'}", head, out, tail)
 
 
 # --------------------------------------------------------------------------

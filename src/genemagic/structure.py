@@ -6,9 +6,9 @@ import functools
 from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
-from .encoding import LETTERS, xor_reduce
+from .encoding import LETTERS, _XOR
 from .errors import ShapeError
-from .tables import Grid
+from .tables import Grid, _split_rows
 
 HALF_NAMES = {
     "half_row": ("left", "right"),
@@ -238,11 +238,16 @@ def standard_regions(side: int) -> list[Region]:
     return list(_layout(side).standard)
 
 
-def place_letters(grid: Grid, place: int) -> tuple[tuple[str, ...], ...]:
-    """Project every cell to the letter at 1-based position ``place``."""
+def _place(grid: Grid, place: int) -> str:
+    """The letter at 1-based position ``place`` of every cell, row-major."""
     if not 1 <= place <= grid.word_len:
         raise ShapeError(f"place {place} out of range 1..{grid.word_len}")
-    return tuple(tuple(word[place - 1] for word in row) for row in grid.cells)
+    return "".join(grid.words())[place - 1::grid.word_len]
+
+
+def place_letters(grid: Grid, place: int) -> tuple[tuple[str, ...], ...]:
+    """Project every cell to the letter at 1-based position ``place``."""
+    return _split_rows(_place(grid, place), grid.side)
 
 
 _LETTER_CODES = {c: code for code, c in enumerate(LETTERS)}
@@ -256,10 +261,7 @@ def place_permutation_report(
     A region of size 4 passes when its projected letters are a permutation
     of C, A, T, G; larger regions pass when each letter occurs size/4 times.
     """
-    if not 1 <= place <= grid.word_len:
-        raise ShapeError(f"place {place} out of range 1..{grid.word_len}")
-    letters = "".join(grid.words())[place - 1::grid.word_len]
-    symbols = [_LETTER_CODES[c] for c in letters]
+    symbols = [_LETTER_CODES[c] for c in _place(grid, place)]
     return _histogram_report(regions, grid.side, symbols, (1, 1, 1, 1), 4, "4")
 
 
@@ -305,9 +307,7 @@ def xor_letter_grid(grid: Grid):
     n = grid.word_len
     if n not in (2, 3):
         raise ShapeError(f"xor letter grid is defined for word length 2 or 3, got {n}")
-    values = tuple(
-        tuple(int(xor_reduce(word), 2) for word in row) for row in grid.cells
-    )
-    if n == 2:
-        return values
-    return tuple(tuple(XOR_LETTERS[v] for v in row) for row in values)
+    values = [int(word.translate(_XOR), 2) for word in grid.words()]
+    if n == 3:
+        values = [XOR_LETTERS[v] for v in values]
+    return _split_rows(values, grid.side)
