@@ -707,8 +707,15 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose help, like any other output, fails loudly when it cannot be written."""
+
+    def print_help(self, file=None):
+        (file or sys.stdout or sys.stderr).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="genemagic",
         description="Genetic-code tables as exact magic squares: "
         "verification, entropy, Hamming, and enzyme reports.",
@@ -722,14 +729,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
-        code = globals()[f"cmd_{args.command}"](args)
-        sys.stdout.flush()  # a buffered write fails here, not at exit
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # after help, or a usage error on stderr
+            code = exc.code if isinstance(exc.code, int) else 2
+        else:
+            code = globals()[f"cmd_{args.command}"](args)
+        if sys.stdout is not None:
+            sys.stdout.flush()  # a buffered write fails here, not at exit
         return code
     except GenemagicError as exc:
         print(f"error: {exc}", file=sys.stderr)

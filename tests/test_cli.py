@@ -351,3 +351,30 @@ def test_pipe_closed_by_its_reader_exits_2():
     finally:
         os.close(write)
     assert_write_failure(done, "[Errno 32] Broken pipe")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [("-h",), ("verify", "-h")])
+def test_help_to_a_full_disk_exits_2(argv):
+    with open("/dev/full", "w") as full:
+        done = genemagic_process(*argv, stdout=full)
+    assert_write_failure(done, "[Errno 28] No space left on device")
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs a pipe whose reader has closed")
+def test_help_to_a_pipe_closed_by_its_reader_exits_2():
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = genemagic_process("structure", "-h", stdout=write)
+    finally:
+        os.close(write)
+    assert_write_failure(done, "[Errno 32] Broken pipe")
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes a file descriptor in the child")
+def test_help_with_stdout_closed_goes_to_stderr():
+    # argparse's own fallback: with no stdout at all, help is written to stderr
+    done = genemagic_process("-h", stdout=subprocess.DEVNULL, preexec_fn=lambda: os.close(1))
+    assert done.returncode == 0
+    assert done.stderr.startswith("usage: genemagic")
