@@ -43,6 +43,8 @@ from genemagic import (
     standard_regions,
     tables,
     weight_grid,
+    xor_letter_grid,
+    xor_reduce,
 )
 from genemagic.encoding import BIT_PAIRS, LETTER_DIGITS, LETTERS
 from genemagic.entropy import EntropyReport, OrderIndex
@@ -230,8 +232,18 @@ def ref_shannon_report(p):
     )
 
 
+def ref_check_place(grid, place):
+    if not 1 <= place <= grid.word_len:
+        raise ShapeError(f"place {place} out of range 1..{grid.word_len}")
+
+
+def ref_place_letters(grid, place):
+    ref_check_place(grid, place)
+    return tuple(tuple(word[place - 1] for word in row) for row in grid.cells)
+
+
 def ref_place_permutation_report(grid, place, regions):
-    letters = place_letters(grid, place)
+    ref_check_place(grid, place)
     report = {}
     for region in regions:
         cells = region.cells(grid.side)
@@ -239,9 +251,16 @@ def ref_place_permutation_report(grid, place, regions):
             raise ShapeError(
                 f"region {region.label!r} has size {len(cells)}, not a multiple of 4"
             )
-        seen = [letters[i][j] for i, j in cells]
+        seen = [grid.cells[i][j][place - 1] for i, j in cells]
         report[region] = all(seen.count(c) == len(cells) // 4 for c in LETTERS)
     return report
+
+
+def ref_xor_letter_grid(grid):
+    values = tuple(tuple(int(xor_reduce(word), 2) for word in row) for row in grid.cells)
+    if grid.word_len == 3:
+        return tuple(tuple("abcdefgh"[v] for v in row) for row in values)
+    return values
 
 
 def ref_weight(word):
@@ -313,9 +332,12 @@ def assert_matches_reference(grid):
             assert shannon_report(prob) == ref_shannon_report(prob)
     regions = standard_regions(grid.side)
     for place in range(0, grid.word_len + 2):
+        assert outcome(place_letters, grid, place) == outcome(ref_place_letters, grid, place)
         assert outcome(place_permutation_report, grid, place, regions) == outcome(
             ref_place_permutation_report, grid, place, regions
         )
+    if grid.word_len in (2, 3):
+        assert xor_letter_grid(grid) == ref_xor_letter_grid(grid)
     wg = weight_grid(grid)
     assert (wg.weights, wg.monomials) == ref_weight_grid(grid)
     for regions in (balance_regions(grid), standard_regions(grid.side)):
