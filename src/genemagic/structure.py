@@ -238,7 +238,7 @@ def standard_regions(side: int) -> list[Region]:
     return list(_layout(side).standard)
 
 
-def _place(grid: Grid, place: int) -> str:
+def _letters_at(grid: Grid, place: int) -> str:
     """The letter at 1-based position ``place`` of every cell, row-major."""
     if not 1 <= place <= grid.word_len:
         raise ShapeError(f"place {place} out of range 1..{grid.word_len}")
@@ -247,7 +247,7 @@ def _place(grid: Grid, place: int) -> str:
 
 def place_letters(grid: Grid, place: int) -> tuple[tuple[str, ...], ...]:
     """Project every cell to the letter at 1-based position ``place``."""
-    return _split_rows(_place(grid, place), grid.side)
+    return _split_rows(_letters_at(grid, place), grid.side)
 
 
 _LETTER_CODES = {c: code for code, c in enumerate(LETTERS)}
@@ -261,7 +261,7 @@ def place_permutation_report(
     A region of size 4 passes when its projected letters are a permutation
     of C, A, T, G; larger regions pass when each letter occurs size/4 times.
     """
-    symbols = [_LETTER_CODES[c] for c in _place(grid, place)]
+    symbols = [_LETTER_CODES[c] for c in _letters_at(grid, place)]
     return _histogram_report(regions, grid.side, symbols, (1, 1, 1, 1), 4, "4")
 
 

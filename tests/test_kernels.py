@@ -8,7 +8,9 @@ canonical tables, their complements and dihedral images, and generated
 grids.
 """
 
+import json
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -46,6 +48,7 @@ from genemagic import (
     xor_letter_grid,
     xor_reduce,
 )
+from genemagic.cli import main
 from genemagic.encoding import BIT_PAIRS, LETTER_DIGITS, LETTERS
 from genemagic.entropy import EntropyReport, OrderIndex
 from genemagic.errors import GenemagicError, PreconditionError, ShapeError
@@ -753,11 +756,6 @@ def test_complement_law_on_line_sums_and_verdicts(grid):
 # ---------------------------------------------------------------------------
 
 def test_cli_reports_the_reference_region_sets(tmp_path, capsys):
-    import json
-    import random
-
-    from genemagic.cli import main
-
     rng = random.Random(20)
     for side in range(1, 21):
         for n in range(1, 5):
